@@ -280,32 +280,32 @@ impl OpenRelOpts {
     }
 }
 
+/// Open one stored attribute for query-in-place — the step
+/// [`Relation::open`] and [`Relation::from_stored`] share. A
+/// `moving(point)` value becomes a lazy [`AttrValue::MPointRef`]; any
+/// other value decodes eagerly. A quarantined value aborts under
+/// [`OnError::Fail`] and becomes an [`AttrValue::Quarantined`]
+/// placeholder under [`OnError::SkipAndRecord`], advancing the
+/// `rel.attrs_quarantined` registry counter.
+fn open_attr(a: StoredAttr, store: &Arc<PageStore>, on_error: OnError) -> DecodeResult<AttrValue> {
+    let ty = stored_attr_type(&a);
+    let loaded = match a {
+        StoredAttr::MPoint(m) => MPointRef::new(Arc::clone(store), m).map(AttrValue::MPointRef),
+        other => load_attr(&other, store),
+    };
+    match loaded {
+        Err(e @ DecodeError::Quarantined { .. }) if on_error == OnError::SkipAndRecord => {
+            mob_obs::metric!("rel.attrs_quarantined").add(1);
+            Ok(AttrValue::Quarantined {
+                ty,
+                detail: e.to_string(),
+            })
+        }
+        loaded => loaded,
+    }
+}
+
 impl Relation {
-    /// Open a stored relation for **query-in-place**: scalar and small
-    /// attributes are loaded eagerly (they live in the root record
-    /// anyway), but every `moving(point)` attribute becomes an
-    /// [`AttrValue::MPointRef`] — a handle that decodes unit records
-    /// lazily from the shared page store when a query probes it. This is
-    /// the scan path of the query-over-storage design: opening the
-    /// relation runs **one** structural verification scan per flight
-    /// (untrusted bytes are never probed blindly), after which a
-    /// single-instant query costs `O(log n)` record reads instead of
-    /// materializing all `n` units.
-    #[deprecated(note = "use Relation::from_stored(stored, store, OnError::Fail)")]
-    pub fn from_store(stored: &StoredRelation, store: Arc<PageStore>) -> DecodeResult<Relation> {
-        Relation::from_stored(stored, store, OnError::Fail)
-    }
-
-    /// [`Relation::from_stored`] under its pre-MVCC name.
-    #[deprecated(note = "use Relation::from_stored")]
-    pub fn from_store_with(
-        stored: &StoredRelation,
-        store: Arc<PageStore>,
-        on_error: OnError,
-    ) -> DecodeResult<Relation> {
-        Relation::from_stored(stored, store, on_error)
-    }
-
     /// Open a pinned [`Generation`] as a relation: one tuple per
     /// `moving(point)` root, `(name, mpoint-ref)` in catalog order, the
     /// unit arrays decoded lazily from the generation's page store.
@@ -321,60 +321,41 @@ impl Relation {
     /// [`AttrValue::Quarantined`] placeholders under
     /// [`OnError::SkipAndRecord`], exactly like [`Relation::from_stored`].
     ///
-    /// Index attach ([`OpenRelOpts::index`]): the stored tree may be
-    /// *stale* — built before later deltas appended units or objects.
-    /// Tuples the tree cannot speak for (ids past its coverage, roots
-    /// listed stale by the generation, quarantined tuples) bypass
-    /// pruning via the index's `always` list, so a stale index costs
-    /// pruning efficiency, never correctness. An unusable index marks
-    /// the relation index-damaged (next scan records `index.fallbacks`).
+    /// Index attach ([`OpenRelOpts::index`]) goes through
+    /// [`Relation::attach_stored_index`] with the generation's stale
+    /// roots: a stale tree still prunes, with the tuples it cannot speak
+    /// for bypassing it. A missing or unusable index marks the relation
+    /// index-damaged (next scan records `index.fallbacks`) and never
+    /// fails the open.
     ///
     /// # Errors
     ///
     /// Structural damage in the root records, or quarantine under
     /// [`OnError::Fail`].
     pub fn open(generation: &Generation, opts: &OpenRelOpts) -> DecodeResult<Relation> {
+        let bad_structure = |e: InvariantViolation| DecodeError::BadStructure {
+            what: "relation open",
+            detail: e.to_string(),
+        };
         let schema = Schema::new(&[
             (opts.name_attr.as_str(), AttrType::Str),
             (opts.mpoint_attr.as_str(), AttrType::MPoint),
         ])
-        .map_err(|e| DecodeError::BadStructure {
-            what: "relation open",
-            detail: e.to_string(),
-        })?;
+        .map_err(bad_structure)?;
         let store = generation.store_arc();
         let mut rel = Relation::new(schema);
         let mut stale_ids: Vec<u32> = Vec::new();
-        let mut stored_ix: Option<&mob_storage::index_store::StoredIndex> = None;
-        let mut tuple_id = 0u32;
+        let mut stored_ix = None;
         for (name, root) in generation.entries() {
             match root {
                 RootRecord::MPoint(m) => {
-                    let value = match MPointRef::new(store.clone(), m.clone()) {
-                        Ok(r) => AttrValue::MPointRef(r),
-                        Err(e @ DecodeError::Quarantined { .. })
-                            if opts.on_error == OnError::SkipAndRecord =>
-                        {
-                            mob_obs::metric!("rel.attrs_quarantined").add(1);
-                            AttrValue::Quarantined {
-                                ty: AttrType::MPoint,
-                                detail: e.to_string(),
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    };
+                    let value = open_attr(StoredAttr::MPoint(m.clone()), &store, opts.on_error)?;
                     if generation.is_stale(name) {
-                        stale_ids.push(tuple_id);
+                        stale_ids.push(u32::try_from(rel.len()).unwrap_or(u32::MAX));
                     }
-                    let name_val =
-                        AttrValue::Str(mob_base::Val::Def(mob_base::Text::try_new(name)?));
-                    rel.insert(Tuple::new(vec![name_val, value])).map_err(|e| {
-                        DecodeError::BadStructure {
-                            what: "relation open",
-                            detail: e.to_string(),
-                        }
-                    })?;
-                    tuple_id = tuple_id.saturating_add(1);
+                    let name_val = AttrValue::Str(Val::Def(Text::try_new(name)?));
+                    rel.insert(Tuple::new(vec![name_val, value]))
+                        .map_err(bad_structure)?;
                 }
                 RootRecord::Index(ix) if opts.index.as_deref() == Some(name.as_str()) => {
                     stored_ix = Some(ix);
@@ -382,39 +363,39 @@ impl Relation {
                 _ => {}
             }
         }
-        if let Some(want) = &opts.index {
+        if opts.index.is_some() {
             let attached = match stored_ix {
                 Some(ix) => rel
-                    .attach_stored_index_stale(
-                        &opts.mpoint_attr,
-                        ix,
-                        generation.store(),
-                        &stale_ids,
-                        true,
-                    )
-                    .map_err(|e| DecodeError::BadStructure {
-                        what: "relation open",
-                        detail: e.to_string(),
-                    })?,
-                None => false,
+                    .attach_stored_index(&opts.mpoint_attr, ix, generation.store(), &stale_ids)
+                    .map_err(bad_structure)?,
+                None => {
+                    rel.mark_index_damaged();
+                    false
+                }
             };
             if !attached {
                 // Missing or unusable: fall back loudly, never fail the
                 // open because of an access path.
-                rel.mark_index_damaged();
                 mob_obs::metric!("rel.index_unusable").add(1);
-                let _ = want;
             }
         }
         Ok(rel)
     }
 
-    /// Open a [`StoredRelation`] with an explicit damage policy — the
-    /// open path for hand-assembled catalogs and stores recovered
-    /// **degraded** (bit rot quarantined some page-store blobs).
+    /// Open a [`StoredRelation`] for **query-in-place**: scalar and
+    /// small attributes are loaded eagerly (they live in the root record
+    /// anyway), but every `moving(point)` attribute becomes an
+    /// [`AttrValue::MPointRef`] — a handle that decodes unit records
+    /// lazily from the shared page store when a query probes it. Opening
+    /// runs **one** structural verification scan per flight (untrusted
+    /// bytes are never probed blindly), after which a single-instant
+    /// query costs `O(log n)` record reads instead of materializing all
+    /// `n` units.
     ///
-    /// Under [`OnError::Fail`] any quarantined attribute aborts the
-    /// open. Under [`OnError::SkipAndRecord`] a quarantined attribute
+    /// This is the open path for hand-assembled catalogs and stores
+    /// recovered **degraded** (bit rot quarantined some page-store
+    /// blobs). Under [`OnError::Fail`] any quarantined attribute aborts
+    /// the open. Under [`OnError::SkipAndRecord`] a quarantined attribute
     /// becomes an [`AttrValue::Quarantined`] placeholder — the relation
     /// opens with every tuple present, healthy values fully queryable,
     /// and the scans ([`Relation::snapshot_at`],
@@ -440,28 +421,11 @@ impl Relation {
             .collect();
         let mut rel = Relation::new(Schema::new(&attrs)?);
         for t in &stored.tuples {
-            let mut values = Vec::with_capacity(t.attrs.len());
-            for a in &t.attrs {
-                let loaded = match a {
-                    StoredAttr::MPoint(m) => {
-                        MPointRef::new(store.clone(), m.clone()).map(AttrValue::MPointRef)
-                    }
-                    other => load_attr(other, &store),
-                };
-                values.push(match loaded {
-                    Ok(v) => v,
-                    Err(e @ DecodeError::Quarantined { .. })
-                        if on_error == OnError::SkipAndRecord =>
-                    {
-                        mob_obs::metric!("rel.attrs_quarantined").add(1);
-                        AttrValue::Quarantined {
-                            ty: stored_attr_type(a),
-                            detail: e.to_string(),
-                        }
-                    }
-                    Err(e) => return Err(e),
-                });
-            }
+            let values = t
+                .attrs
+                .iter()
+                .map(|a| open_attr(a.clone(), &store, on_error))
+                .collect::<DecodeResult<_>>()?;
             rel.insert(Tuple::new(values))?;
         }
         Ok(rel)

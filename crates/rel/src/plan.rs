@@ -1,15 +1,15 @@
 //! The **plan** and **prune** stages of the relation-scan pipeline.
 //!
-//! Every relation scan now runs in three explicit stages:
+//! Every relation scan runs in three explicit stages:
 //!
-//! 1. **plan** ([`plan_scan`]) — inspect the [`ScanOpts`] index policy
+//! 1. **plan** ([`plan_scan`]) — inspect the scan's [`IndexPolicy`]
 //!    and whatever index the relation carries, and choose an access
 //!    path: a full scan, or a pruned scan over index candidates.
-//! 2. **prune** ([`Plan::candidates`]) — consult the R-tree for the
+//! 2. **prune** ([`Plan::Pruned`]) — consult the R-tree for the
 //!    candidate tuple set of the query's probe volume, merge in the
 //!    tuples the index cannot speak for, and produce a membership mask.
-//! 3. **execute** (in [`crate::scan`]) — run the existing batch kernels
-//!    over candidates only, in input-tuple order.
+//! 3. **execute** (in [`crate::scan`]) — run the operator's kernel over
+//!    candidates only, in input-tuple order.
 //!
 //! The planner is *policy*: it may only ever trade work for work. A
 //! damaged, missing or mismatched index degrades to a full scan — a
@@ -47,70 +47,56 @@ pub enum AttrNeed {
 /// The access path chosen by the planner.
 #[derive(Debug)]
 pub enum Plan {
-    /// Touch every tuple.
-    Full,
+    /// Touch every tuple. `fallback` is set when the scan wanted an
+    /// index but had to degrade to this full scan.
+    Full {
+        /// Did the planner fall back from an index it wanted?
+        fallback: bool,
+    },
     /// Touch index candidates only.
     Pruned {
         /// `mask[i]` — is tuple `i` a candidate?
         mask: Vec<bool>,
         /// Number of candidate tuples (`mask.iter().filter(|c| **c)`).
-        count: usize,
-        /// R-tree nodes visited while pruning.
-        nodes_visited: u64,
+        candidates: usize,
     },
-}
-
-/// The planner's summary, threaded into `QueryStats` and the metrics
-/// registry by the execute stage.
-#[derive(Debug, Default)]
-pub struct PlanReport {
-    /// Candidate tuples after pruning; `None` on the full path.
-    pub candidates: Option<usize>,
-    /// 1 when the scan wanted an index but had to fall back.
-    pub fallbacks: u64,
 }
 
 /// Stage 1 + 2: choose the access path for a scan of `rel` probing
 /// `probe` through `need`, then prune.
 ///
-/// Fallback rules (each recorded in the `index.fallbacks` metric and
-/// [`PlanReport::fallbacks`]):
+/// Whether an attached index covers the relation at all was decided
+/// when it was attached ([`Relation::build_index`],
+/// [`Relation::attach_stored_index`]); the planner trusts it. Fallback
+/// rules (each recorded in the `index.fallbacks` metric and as
+/// `Plan::Full { fallback: true }`):
 ///
 /// * the relation is marked index-damaged (a stored index failed to
 ///   load) and the policy still wants an index;
-/// * an index is attached but unusable — wrong attribute, or stale
-///   cardinality;
+/// * an index is attached but indexes another attribute than the scan
+///   probes;
 /// * [`IndexPolicy::Force`] with no index at all.
 ///
 /// [`IndexPolicy::Auto`] with no index (and no damage) is a plain full
 /// scan, not a fallback — there was nothing to fall back *from*.
-pub fn plan_scan(
-    rel: &Relation,
-    probe: &Probe,
-    need: AttrNeed,
-    policy: IndexPolicy,
-) -> (Plan, PlanReport) {
+pub fn plan_scan(rel: &Relation, probe: &Probe, need: AttrNeed, policy: IndexPolicy) -> Plan {
     let _span = mob_obs::span("scan.plan");
     if policy == IndexPolicy::Off {
-        return (Plan::Full, PlanReport::default());
+        return Plan::Full { fallback: false };
     }
     let fallback = || {
         mob_obs::metric!("index.fallbacks").add(1);
-        (
-            Plan::Full,
-            PlanReport {
-                candidates: None,
-                fallbacks: 1,
-            },
-        )
+        Plan::Full { fallback: true }
     };
     let Some(ix) = rel.index() else {
         if rel.index_damaged() || policy == IndexPolicy::Force {
             return fallback();
         }
-        return (Plan::Full, PlanReport::default());
+        return Plan::Full { fallback: false };
     };
-    let usable = ix.tree.num_tuples() == rel.len()
+    // The `<=` bound guards the `mask[t]` writes below; attach already
+    // refused any tree covering more tuples than the relation holds.
+    let usable = ix.tree.num_tuples() <= rel.len()
         && match need {
             AttrNeed::Exactly(attr) => ix.attr == attr,
             AttrNeed::AllMPoints => {
@@ -137,28 +123,31 @@ pub fn plan_scan(
     for &t in found.tuples.iter().chain(ix.always.iter()) {
         mask[t as usize] = true;
     }
-    let count = mask.iter().filter(|c| **c).count();
+    let candidates = mask.iter().filter(|c| **c).count();
     mob_obs::metric!("index.nodes_visited").add(found.nodes_visited);
-    mob_obs::metric!("index.candidates").add(count as u64);
-    (
-        Plan::Pruned {
-            mask,
-            count,
-            nodes_visited: found.nodes_visited,
-        },
-        PlanReport {
-            candidates: Some(count),
-            fallbacks: 0,
-        },
-    )
+    mob_obs::metric!("index.candidates").add(candidates as u64);
+    Plan::Pruned { mask, candidates }
 }
 
 impl Plan {
     /// Is tuple `i` a candidate under this plan?
     pub fn is_candidate(&self, i: usize) -> bool {
         match self {
-            Plan::Full => true,
+            Plan::Full { .. } => true,
             Plan::Pruned { mask, .. } => mask.get(i).copied().unwrap_or(true),
         }
+    }
+
+    /// Candidate tuples after pruning; `None` on the full path.
+    pub fn candidates(&self) -> Option<usize> {
+        match self {
+            Plan::Full { .. } => None,
+            Plan::Pruned { candidates, .. } => Some(*candidates),
+        }
+    }
+
+    /// 1 when the planner fell back from an index it wanted, else 0.
+    pub fn fallbacks(&self) -> u64 {
+        u64::from(matches!(self, Plan::Full { fallback: true }))
     }
 }

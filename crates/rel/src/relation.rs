@@ -164,88 +164,66 @@ impl Relation {
     }
 
     /// Attach a deserialized index ([`StoredIndex`], the tag-11 root
-    /// record) to this relation.
+    /// record) to this relation — the one place that decides whether a
+    /// stored tree is usable for it.
     ///
-    /// Returns `Ok(true)` when the index loaded, re-validated and
-    /// matched the relation's cardinality. `Ok(false)` means the stored
-    /// index was unusable — damaged, forged, or built for a different
-    /// cardinality; the relation is marked *index-damaged* so the next
-    /// scan records a planner fallback (`index.fallbacks`) and runs
-    /// full. Results are never wrong either way.
+    /// The tree may be *stale*: built before later deltas appended units
+    /// or objects (a relation opened from a [generation] whose delta
+    /// chain grew past the committed index). It may cover a **prefix**
+    /// of the relation (`num_tuples() <= len`); tuples beyond its
+    /// coverage, every tuple id in `stale` (objects whose mapping gained
+    /// units the tree has never seen) and tuples the tree cannot speak
+    /// for (quarantined, or no unit sequence) join the `always` list, so
+    /// pruned scans still visit them and results stay byte-identical to
+    /// a full scan — staleness costs pruning efficiency, never
+    /// correctness.
     ///
-    /// # Errors
-    ///
-    /// Fails only on caller misuse: `attr` unknown or not `mpoint`.
-    pub fn attach_stored_index(
-        &mut self,
-        attr: &str,
-        stored: &StoredIndex,
-        store: &PageStore,
-    ) -> Result<bool> {
-        self.attach_stored_index_stale(attr, stored, store, &[], false)
-    }
-
-    /// [`Relation::attach_stored_index`] tolerating a *stale* index —
-    /// the attach path for relations opened from a [generation] whose
-    /// delta chain grew past the committed index.
-    ///
-    /// The tree may cover a **prefix** of the relation (`num_tuples() <=
-    /// len`, requires `allow_partial`): tuples beyond its coverage and
-    /// every tuple id in `stale` (objects whose mapping gained units the
-    /// tree has never seen) join the `always` list, so pruned scans
-    /// still visit them and results stay byte-identical to a full scan —
-    /// staleness costs pruning efficiency, never correctness.
+    /// Returns `Ok(true)` when the index loaded, re-validated and fits.
+    /// `Ok(false)` means the stored index was unusable — damaged, forged,
+    /// or covering more tuples than the relation holds; the relation is
+    /// marked *index-damaged* so the next scan records a planner
+    /// fallback (`index.fallbacks`) and runs full.
     ///
     /// # Errors
     ///
     /// Fails only on caller misuse: `attr` unknown or not `mpoint`.
     ///
     /// [generation]: mob_storage::Generation
-    pub fn attach_stored_index_stale(
+    pub fn attach_stored_index(
         &mut self,
         attr: &str,
         stored: &StoredIndex,
         store: &PageStore,
         stale: &[u32],
-        allow_partial: bool,
     ) -> Result<bool> {
-        let idx = self.index_attr_checked(attr)?;
-        let usable = |n: usize| {
-            if allow_partial {
-                n <= self.len()
-            } else {
-                n == self.len()
+        let idx = self.index_attr_checked(attr)? as usize;
+        let tree = match load_index(stored, store) {
+            Ok(tree) if tree.num_tuples() <= self.len() => tree,
+            _ => {
+                self.mark_index_damaged();
+                return Ok(false);
             }
         };
-        match load_index(stored, store) {
-            Ok(tree) if usable(tree.num_tuples()) => {
-                let covered = tree.num_tuples();
-                let mut always: Vec<u32> = (0..self.tuples.len())
-                    .filter(|&i| {
-                        let tup = &self.tuples[i];
-                        i >= covered
-                            || tup.values().iter().any(AttrValue::is_quarantined)
-                            || tup.at(idx as usize).as_mpoint_seq().is_none()
-                    })
-                    .map(|i| u32::try_from(i).expect("tuple count fits u32"))
-                    .collect();
-                always.extend(stale.iter().copied().filter(|&i| (i as usize) < self.len()));
-                always.sort_unstable();
-                always.dedup();
-                self.index = Some(Arc::new(RelIndex {
-                    attr: idx as usize,
-                    tree,
-                    always,
-                }));
-                self.index_damaged = false;
-                Ok(true)
-            }
-            _ => {
-                self.index = None;
-                self.index_damaged = true;
-                Ok(false)
-            }
-        }
+        let covered = tree.num_tuples();
+        let mut always: Vec<u32> = (0..self.tuples.len())
+            .filter(|&i| {
+                let tup = &self.tuples[i];
+                i >= covered
+                    || tup.values().iter().any(AttrValue::is_quarantined)
+                    || tup.at(idx).as_mpoint_seq().is_none()
+            })
+            .map(|i| u32::try_from(i).expect("tuple count fits u32"))
+            .collect();
+        always.extend(stale.iter().copied().filter(|&i| (i as usize) < self.len()));
+        always.sort_unstable();
+        always.dedup();
+        self.index = Some(Arc::new(RelIndex {
+            attr: idx,
+            tree,
+            always,
+        }));
+        self.index_damaged = false;
+        Ok(true)
     }
 
     /// Resolve `attr` and require it to be a `moving(point)` column.
@@ -260,10 +238,8 @@ impl Relation {
         Ok(u32::try_from(idx).expect("arity fits u32"))
     }
 
-    /// Record that a requested access path could not be attached (used
-    /// by [`Relation::open`] so the next scan logs a planner fallback).
-    ///
-    /// [`Relation::open`]: crate::Relation::open
+    /// Record that a requested access path could not be attached, so
+    /// the next scan logs a planner fallback.
     pub(crate) fn mark_index_damaged(&mut self) {
         self.index = None;
         self.index_damaged = true;
@@ -286,7 +262,8 @@ impl Relation {
     }
 
     /// `true` when the last [`Relation::attach_stored_index`] found the
-    /// stored index unusable — the planner will record a fallback.
+    /// stored index unusable, or [`Relation::open`] found none — the
+    /// planner will record a fallback.
     pub fn index_damaged(&self) -> bool {
         self.index_damaged
     }

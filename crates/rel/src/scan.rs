@@ -25,11 +25,11 @@
 //! `passes` results are byte-identical whether `MOB_THREADS` is 1 or
 //! 64 — and whether the index is on, off, or quarantined.
 
-use crate::plan::{plan_scan, AttrNeed, Plan, PlanReport, Probe};
+use crate::plan::{plan_scan, AttrNeed, Plan, Probe};
 use crate::relation::{Relation, Tuple};
 use crate::schema::Schema;
 use crate::value::{AttrType, AttrValue};
-use mob_base::error::{DecodeError, DecodeResult};
+use mob_base::error::DecodeError;
 use mob_base::{Instant, Periods, TimeInterval, Val};
 use mob_core::{inside_region_seq, UnitSeq};
 use mob_obs::{Registry, Snapshot};
@@ -135,8 +135,7 @@ impl std::fmt::Debug for ScanDeadline {
     }
 }
 
-/// Options for the relation-wide scans — one struct instead of the old
-/// `snapshot_at` / `snapshot_at_with(pool, ..)` method matrix.
+/// Options for the relation-wide scans.
 ///
 /// The default is **sequential, no stats**: one worker thread, results
 /// only. Opt into parallelism with [`ScanOpts::parallel`] (honors
@@ -305,59 +304,10 @@ pub struct QueryStats {
     pub metrics: Snapshot,
 }
 
-impl QueryStats {
-    /// Fill in the quarantine tally after the observed section ran.
-    fn with_quarantined(mut self, n: u64) -> QueryStats {
-        self.tuples_quarantined = n;
-        self
-    }
-
-    /// Fill in the planner's summary.
-    fn with_plan(mut self, report: &PlanReport) -> QueryStats {
-        self.candidates = report.candidates;
-        self.index_fallbacks = report.fallbacks;
-        self
-    }
-}
-
-/// Run `f` under a named span, optionally bracketed by registry
-/// snapshots for [`QueryStats`] attribution.
-fn observed<R>(
-    name: &'static str,
-    opts: &ScanOpts,
-    tuples: usize,
-    f: impl FnOnce(Pool) -> R,
-) -> (R, Option<QueryStats>) {
-    if !opts.stats {
-        let _span = mob_obs::span(name);
-        return (f(opts.pool), None);
-    }
-    let before = Registry::global().snapshot();
-    let start = std::time::Instant::now();
-    let out = {
-        let _span = mob_obs::span(name);
-        f(opts.pool)
-    };
-    let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let metrics = Registry::global().snapshot().delta(&before);
-    (
-        out,
-        Some(QueryStats {
-            tuples,
-            threads: opts.pool.threads(),
-            wall_ns,
-            tuples_quarantined: 0,
-            candidates: None,
-            index_fallbacks: 0,
-            metrics,
-        }),
-    )
-}
-
 /// A deadline tripped: count it (`scan.deadline_exceeded` — inside the
-/// observed section, so it shows in the query's own metric delta) and
-/// build the typed error. Partial stats are attached by [`finish`]
-/// once the observed section closes.
+/// operator's span, so it shows in the query's own metric delta) and
+/// build the typed error. The scan attaches its partial stats once the
+/// span closes.
 fn deadline_exceeded(what: &'static str, items_done: usize) -> ScanError {
     mob_obs::metric!("scan.deadline_exceeded").add(1);
     ScanError::Deadline {
@@ -367,82 +317,146 @@ fn deadline_exceeded(what: &'static str, items_done: usize) -> ScanError {
     }
 }
 
-/// Close out one scan: merge the per-scan tallies into the stats on
-/// success, attach the partial stats to a deadline error.
-fn finish(
-    res: ScanResult<(Relation, u64, PlanReport)>,
-    stats: Option<QueryStats>,
-) -> ScanResult<(Relation, Option<QueryStats>)> {
-    match res {
-        Ok((rel, quarantined, report)) => Ok((
-            rel,
-            stats.map(|s| s.with_quarantined(quarantined).with_plan(&report)),
-        )),
-        Err(ScanError::Deadline {
-            what, items_done, ..
-        }) => Err(ScanError::Deadline {
-            what,
-            items_done,
-            stats,
-        }),
-        Err(e) => Err(e),
-    }
-}
-
-/// Apply the scan's [`OnError`] policy to per-tuple outcomes where
-/// `None` marks a tuple that carries a quarantined attribute: under
-/// [`OnError::Fail`] the first damaged tuple aborts the scan, under
-/// [`OnError::SkipAndRecord`] the damaged ones are counted (registry
-/// counter `scan.tuples_quarantined`) and the survivors returned.
-fn apply_on_error<T>(outcomes: Vec<Option<T>>, policy: OnError) -> DecodeResult<(Vec<T>, u64)> {
-    let quarantined = outcomes.iter().filter(|o| o.is_none()).count() as u64;
-    if quarantined > 0 {
-        if policy == OnError::Fail {
-            let first = outcomes.iter().position(Option::is_none).unwrap_or(0);
-            return Err(DecodeError::Quarantined {
-                what: "relation scan",
-                detail: format!(
-                    "tuple {first} carries a quarantined attribute \
-                     ({quarantined} damaged in total); rerun with \
-                     OnError::SkipAndRecord to scan around the damage"
-                ),
-            });
-        }
-        mob_obs::metric!("scan.tuples_quarantined").add(quarantined);
-    }
-    Ok((outcomes.into_iter().flatten().collect(), quarantined))
-}
-
-/// Stage 3, **execute**: run `f` over every tuple in input order,
-/// telling it whether the tuple survived pruning. Non-candidates still
-/// flow through `f` (so quarantine accounting and ordering are
-/// identical to a full scan), but `f` must not probe their units —
-/// that is the planner's whole saving.
-fn execute_scan<T: Send>(
-    pool: Pool,
-    tuples: &[Tuple],
-    plan: &Plan,
-    deadline: Option<&ScanDeadline>,
-    f: impl Fn(&Tuple, bool) -> T + Sync,
-) -> Cancellable<Vec<T>> {
-    let _span = mob_obs::span("scan.execute");
-    mob_obs::metric!("scan.tuples").add(tuples.len() as u64);
-    let probed = match plan {
-        Plan::Full => tuples.len(),
-        Plan::Pruned { count, .. } => *count,
-    };
-    mob_obs::metric!("scan.tuples_probed").add(probed as u64);
-    let idxs: Vec<usize> = (0..tuples.len()).collect();
-    let token = deadline.map_or_else(CancelToken::never, ScanDeadline::token);
-    match pool.try_chunked_map_cancel(&idxs, &token, |&i| f(&tuples[i], plan.is_candidate(i))) {
-        Ok(out) => out,
-        // Keep the `chunked_map` contract: a worker panic resurfaces on
-        // the caller's thread with the contained message.
-        Err(e) => panic!("{e}"),
-    }
+/// What the execute stage made of one input tuple.
+enum Outcome {
+    /// The tuple carries a quarantined attribute; the scan's
+    /// [`OnError`] policy decides.
+    Quarantined,
+    /// The kernel's output tuple.
+    Keep(Tuple),
+    /// Pruned or filtered out.
+    Discard,
 }
 
 impl Relation {
+    /// The one plan → prune → execute pipeline behind every relation
+    /// scan, run under the span `what` (which also names the operator
+    /// in a [`ScanError::Deadline`]).
+    ///
+    /// `kernel` maps a healthy tuple to its output tuple (`None` drops
+    /// it) and is told whether the tuple survived pruning. Non-candidates
+    /// still flow through it, so ordering is identical to a full scan,
+    /// but it must not probe their units — that is the planner's whole
+    /// saving. Tuples carrying a quarantined attribute never reach
+    /// `kernel`: under [`OnError::Fail`] the first one aborts the scan,
+    /// under [`OnError::SkipAndRecord`] they are dropped and counted
+    /// (`scan.tuples_quarantined`). Survivors keep input order for every
+    /// pool width ([`Pool::chunked_map`]).
+    fn scan(
+        &self,
+        what: &'static str,
+        probe: Probe,
+        need: AttrNeed,
+        out_schema: Schema,
+        opts: &ScanOpts,
+        kernel: impl Fn(&Tuple, bool) -> Option<Tuple> + Sync,
+    ) -> ScanResult<(Relation, Option<QueryStats>)> {
+        let run = || -> ScanResult<(Vec<Tuple>, u64, Plan)> {
+            opts.check_deadline(what)?;
+            let plan = plan_scan(self, &probe, need, opts.index);
+            opts.check_deadline(what)?;
+            let tuples = self.tuples();
+            let done = {
+                let _span = mob_obs::span("scan.execute");
+                mob_obs::metric!("scan.tuples").add(tuples.len() as u64);
+                let probed = plan.candidates().unwrap_or(tuples.len());
+                mob_obs::metric!("scan.tuples_probed").add(probed as u64);
+                let idxs: Vec<usize> = (0..tuples.len()).collect();
+                let token = opts
+                    .deadline
+                    .as_ref()
+                    .map_or_else(CancelToken::never, ScanDeadline::token);
+                let outcome = |&i: &usize| {
+                    let tup = &tuples[i];
+                    if tup.values().iter().any(AttrValue::is_quarantined) {
+                        return Outcome::Quarantined;
+                    }
+                    kernel(tup, plan.is_candidate(i)).map_or(Outcome::Discard, Outcome::Keep)
+                };
+                match opts.pool.try_chunked_map_cancel(&idxs, &token, outcome) {
+                    Ok(done) => done,
+                    // Keep the `chunked_map` contract: a worker panic
+                    // resurfaces on the caller's thread with the
+                    // contained message.
+                    Err(e) => panic!("{e}"),
+                }
+            };
+            let outcomes = match done {
+                Cancellable::Done(o) => o,
+                Cancellable::Cancelled { items_done } => {
+                    return Err(deadline_exceeded(what, items_done))
+                }
+            };
+            let mut quarantined = 0u64;
+            let mut first = None;
+            let kept: Vec<Tuple> = outcomes
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, o)| match o {
+                    Outcome::Keep(tup) => Some(tup),
+                    Outcome::Discard => None,
+                    Outcome::Quarantined => {
+                        first.get_or_insert(i);
+                        quarantined += 1;
+                        None
+                    }
+                })
+                .collect();
+            if let Some(first) = first {
+                if opts.on_error == OnError::Fail {
+                    return Err(ScanError::Decode(DecodeError::Quarantined {
+                        what: "relation scan",
+                        detail: format!(
+                            "tuple {first} carries a quarantined attribute \
+                             ({quarantined} damaged in total); rerun with \
+                             OnError::SkipAndRecord to scan around the damage"
+                        ),
+                    }));
+                }
+                mob_obs::metric!("scan.tuples_quarantined").add(quarantined);
+            }
+            Ok((kept, quarantined, plan))
+        };
+
+        let started = opts.stats.then(|| {
+            let before = Registry::global().snapshot();
+            let start = std::time::Instant::now();
+            (before, start)
+        });
+        let res = {
+            let _span = mob_obs::span(what);
+            run()
+        };
+        let stats = started.map(|(before, start)| QueryStats {
+            tuples: self.len(),
+            threads: opts.pool.threads(),
+            wall_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            tuples_quarantined: 0,
+            candidates: None,
+            index_fallbacks: 0,
+            metrics: Registry::global().snapshot().delta(&before),
+        });
+        match res {
+            Ok((tuples, quarantined, plan)) => Ok((
+                Relation::from_parts(out_schema, tuples),
+                stats.map(|s| QueryStats {
+                    tuples_quarantined: quarantined,
+                    candidates: plan.candidates(),
+                    index_fallbacks: plan.fallbacks(),
+                    ..s
+                }),
+            )),
+            Err(ScanError::Deadline {
+                what, items_done, ..
+            }) => Err(ScanError::Deadline {
+                what,
+                items_done,
+                stats,
+            }),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Snapshot the whole relation at one instant: every
     /// `moving(point)` attribute becomes a `point` attribute holding
     /// its value at `t` (⊥ where the object is undefined at `t`); all
@@ -465,65 +479,34 @@ impl Relation {
         t: Instant,
         opts: &ScanOpts,
     ) -> ScanResult<(Relation, Option<QueryStats>)> {
-        let (res, stats) = observed(
+        let attrs: Vec<(&str, AttrType)> = self
+            .schema()
+            .attrs()
+            .iter()
+            .map(|(n, ty)| match ty {
+                AttrType::MPoint => (n.as_str(), AttrType::Point),
+                _ => (n.as_str(), *ty),
+            })
+            .collect();
+        let schema = Schema::new(&attrs)?;
+        let probe = Probe::At(t);
+        self.scan(
             "rel.snapshot_at",
+            probe,
+            AttrNeed::AllMPoints,
+            schema,
             opts,
-            self.len(),
-            |pool| -> ScanResult<(Relation, u64, PlanReport)> {
-                opts.check_deadline("rel.snapshot_at")?;
-                let attrs: Vec<(String, AttrType)> = self
-                    .schema()
-                    .attrs()
-                    .iter()
-                    .map(|(n, ty)| {
-                        let ty = if *ty == AttrType::MPoint {
-                            AttrType::Point
-                        } else {
-                            *ty
-                        };
-                        (n.clone(), ty)
-                    })
-                    .collect();
-                let refs: Vec<(&str, AttrType)> =
-                    attrs.iter().map(|(n, ty)| (n.as_str(), *ty)).collect();
-                let schema = Schema::new(&refs)?;
-                let (plan, report) =
-                    plan_scan(self, &Probe::At(t), AttrNeed::AllMPoints, opts.index);
-                opts.check_deadline("rel.snapshot_at")?;
-                let outcomes = execute_scan(
-                    pool,
-                    self.tuples(),
-                    &plan,
-                    opts.deadline.as_ref(),
-                    |tup, candidate| {
-                        if tup.values().iter().any(AttrValue::is_quarantined) {
-                            return None;
-                        }
-                        Some(Tuple::new(
-                            tup.values()
-                                .iter()
-                                .map(|v| match v.as_mpoint_seq() {
-                                    // A non-candidate has no unit alive at
-                                    // `t` — ⊥ without touching its units.
-                                    Some(_) if !candidate => AttrValue::Point(Val::Undef),
-                                    Some(seq) => AttrValue::Point(seq.at_instant(t)),
-                                    None => v.clone(),
-                                })
-                                .collect(),
-                        ))
-                    },
-                );
-                let outcomes = match outcomes {
-                    Cancellable::Done(o) => o,
-                    Cancellable::Cancelled { items_done } => {
-                        return Err(deadline_exceeded("rel.snapshot_at", items_done))
-                    }
-                };
-                let (tuples, quarantined) = apply_on_error(outcomes, opts.on_error)?;
-                Ok((Relation::from_parts(schema, tuples), quarantined, report))
+            |tup, candidate| {
+                let values = tup.values().iter().map(|v| match v.as_mpoint_seq() {
+                    // A non-candidate has no unit alive at `t` — ⊥ without
+                    // touching its units.
+                    Some(_) if !candidate => AttrValue::Point(Val::Undef),
+                    Some(seq) => AttrValue::Point(seq.at_instant(t)),
+                    None => v.clone(),
+                });
+                Some(Tuple::new(values.collect()))
             },
-        );
-        finish(res, stats)
+        )
     }
 
     /// Keep the tuples whose `moving(point)` attribute `attr` is ever
@@ -545,59 +528,24 @@ impl Relation {
         opts: &ScanOpts,
     ) -> ScanResult<(Relation, Option<QueryStats>)> {
         let idx = self.try_attr(attr)?;
-        let (res, stats) = observed(
+        let probe = Probe::Window(region.bbox());
+        let need = AttrNeed::Exactly(idx);
+        self.scan(
             "rel.filter_inside",
+            probe,
+            need,
+            self.schema().clone(),
             opts,
-            self.len(),
-            |pool| -> ScanResult<(Relation, u64, PlanReport)> {
-                opts.check_deadline("rel.filter_inside")?;
-                let (plan, report) = plan_scan(
-                    self,
-                    &Probe::Window(region.bbox()),
-                    AttrNeed::Exactly(idx),
-                    opts.index,
-                );
-                opts.check_deadline("rel.filter_inside")?;
-                // Three-way per-tuple outcome: quarantined (None), kept
-                // (Some(Some(tuple))), filtered out (Some(None)).
-                let outcomes = execute_scan(
-                    pool,
-                    self.tuples(),
-                    &plan,
-                    opts.deadline.as_ref(),
-                    |tup, candidate| {
-                        if tup.values().iter().any(AttrValue::is_quarantined) {
-                            return None;
-                        }
-                        if !candidate {
-                            // Pruned: its trajectory never meets the
-                            // region's bounding box.
-                            return Some(None);
-                        }
-                        let keep = tup
-                            .at(idx)
-                            .as_mpoint_seq()
-                            .map(|seq| !inside_region_seq(&seq, region).when_true().is_empty())
-                            .unwrap_or(false);
-                        Some(if keep { Some(tup.clone()) } else { None })
-                    },
-                );
-                let outcomes = match outcomes {
-                    Cancellable::Done(o) => o,
-                    Cancellable::Cancelled { items_done } => {
-                        return Err(deadline_exceeded("rel.filter_inside", items_done))
-                    }
-                };
-                let (kept, quarantined) = apply_on_error(outcomes, opts.on_error)?;
-                let tuples = kept.into_iter().flatten().collect();
-                Ok((
-                    Relation::from_parts(self.schema().clone(), tuples),
-                    quarantined,
-                    report,
-                ))
+            |tup, candidate| {
+                // A pruned tuple's trajectory never meets the region's
+                // bounding box.
+                if !candidate {
+                    return None;
+                }
+                let seq = tup.at(idx).as_mpoint_seq()?;
+                (!inside_region_seq(&seq, region).when_true().is_empty()).then(|| tup.clone())
             },
-        );
-        finish(res, stats)
+        )
     }
 
     /// Keep the tuples whose `moving(point)` attribute `attr` is inside
@@ -618,54 +566,25 @@ impl Relation {
         opts: &ScanOpts,
     ) -> ScanResult<(Relation, Option<QueryStats>)> {
         let idx = self.try_attr(attr)?;
-        let (res, stats) = observed(
+        let probe = Probe::Volume(Cube::new(region.bbox(), window));
+        let need = AttrNeed::Exactly(idx);
+        self.scan(
             "rel.passes",
+            probe,
+            need,
+            self.schema().clone(),
             opts,
-            self.len(),
-            |pool| -> ScanResult<(Relation, u64, PlanReport)> {
-                opts.check_deadline("rel.passes")?;
-                let probe = Probe::Volume(Cube::new(region.bbox(), window));
-                let (plan, report) = plan_scan(self, &probe, AttrNeed::Exactly(idx), opts.index);
-                opts.check_deadline("rel.passes")?;
-                let outcomes = execute_scan(
-                    pool,
-                    self.tuples(),
-                    &plan,
-                    opts.deadline.as_ref(),
-                    |tup, candidate| {
-                        if tup.values().iter().any(AttrValue::is_quarantined) {
-                            return None;
-                        }
-                        if !candidate {
-                            return Some(None);
-                        }
-                        let keep = tup
-                            .at(idx)
-                            .as_mpoint_seq()
-                            .map(|seq| {
-                                let clipped = seq.at_periods(&Periods::single(*window));
-                                !inside_region_seq(&clipped, region).when_true().is_empty()
-                            })
-                            .unwrap_or(false);
-                        Some(if keep { Some(tup.clone()) } else { None })
-                    },
-                );
-                let outcomes = match outcomes {
-                    Cancellable::Done(o) => o,
-                    Cancellable::Cancelled { items_done } => {
-                        return Err(deadline_exceeded("rel.passes", items_done))
-                    }
-                };
-                let (kept, quarantined) = apply_on_error(outcomes, opts.on_error)?;
-                let tuples = kept.into_iter().flatten().collect();
-                Ok((
-                    Relation::from_parts(self.schema().clone(), tuples),
-                    quarantined,
-                    report,
-                ))
+            |tup, candidate| {
+                if !candidate {
+                    return None;
+                }
+                let clipped = tup
+                    .at(idx)
+                    .as_mpoint_seq()?
+                    .at_periods(&Periods::single(*window));
+                (!inside_region_seq(&clipped, region).when_true().is_empty()).then(|| tup.clone())
             },
-        );
-        finish(res, stats)
+        )
     }
 }
 

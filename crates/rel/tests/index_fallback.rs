@@ -14,11 +14,21 @@ use mob_core::MovingPoint;
 use mob_rel::{AttrType, AttrValue, IndexPolicy, OnError, OpenRelOpts, Relation, ScanOpts, Tuple};
 use mob_spatial::{pt, rect_ring, Region};
 use mob_storage::{DurableStore, FaultyIo, MemIo, RootRecord, StoreFile, StoreIo};
+use std::sync::{Mutex, MutexGuard};
 
 const CHUNK: usize = 128;
 const FLIGHTS: usize = 6;
 const LEGS: usize = 48;
 const FLIPS: u32 = 6;
+
+/// The tests read process-wide registry deltas through
+/// [`mob_rel::QueryStats::metrics`]; running them one at a time keeps
+/// one test's scans out of another's delta.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Fresh in-memory copy of a directory (shared-storage [`MemIo::clone`]
 /// would let one seed's recovery prune another's snapshot).
@@ -102,6 +112,7 @@ fn probe() -> (Region, Interval<mob_base::Instant>) {
 
 #[test]
 fn recovered_index_prunes_the_committed_fleet() {
+    let _serial = serial();
     let dir = committed_dir();
     let store = DurableStore::options()
         .chunk_size(CHUNK)
@@ -136,6 +147,7 @@ fn recovered_index_prunes_the_committed_fleet() {
 
 #[test]
 fn flipped_index_frames_degrade_to_recorded_full_scans() {
+    let _serial = serial();
     let dir = committed_dir();
     let (zone, window) = probe();
     let mut opens_ok = 0u32;
@@ -203,4 +215,59 @@ fn flipped_index_frames_degrade_to_recorded_full_scans() {
         index_casualties >= 3,
         "only {index_casualties} seeds damaged the index — campaign too weak"
     );
+}
+
+#[test]
+fn index_covering_a_prefix_prunes_after_a_delta_adds_a_root() {
+    let _serial = serial();
+    let mut store = DurableStore::options()
+        .chunk_size(CHUNK)
+        .open(committed_dir())
+        .expect("clean open");
+    // A delta creates a new root the committed index has never seen:
+    // the stored tree now covers a prefix of the relation.
+    let samples: Vec<_> = (0..LEGS)
+        .map(|i| (t(i as f64), pt(2.0 + (i % 2) as f64 * 0.2, i as f64 * 0.5)))
+        .collect();
+    let mut txn = store.begin();
+    txn.append_units("F6", MovingPoint::from_samples(&samples).units());
+    txn.commit().expect("delta commit");
+    let snap = store.snapshot().expect("generation");
+    let rel = Relation::open(&snap, &rel_opts()).expect("open");
+    assert_eq!(rel.len(), FLIGHTS + 1);
+    assert!(rel.has_index(), "a prefix index attaches");
+    assert!(!rel.index_damaged());
+
+    let (zone, window) = probe();
+    let full = ScanOpts::new().stats(true).index(IndexPolicy::Off);
+    let (want_in, _) = rel.filter_inside("trip", &zone, &full).unwrap();
+    let (want_pass, _) = rel.passes("trip", &zone, &window, &full).unwrap();
+    let (want_at, _) = rel.snapshot_at(t(5.0), &full).unwrap();
+    let names = |r: &Relation| -> Vec<String> {
+        r.tuples()
+            .iter()
+            .filter_map(|tup| tup.at(0).as_str().map(str::to_owned))
+            .collect()
+    };
+    assert_eq!(names(&want_in), ["F1", "F2", "F6"], "the new root is seen");
+    for policy in [IndexPolicy::Auto, IndexPolicy::Force] {
+        let opts = full.clone().index(policy);
+        let (got_in, s_in) = rel.filter_inside("trip", &zone, &opts).unwrap();
+        let (got_pass, s_pass) = rel.passes("trip", &zone, &window, &opts).unwrap();
+        let (got_at, s_at) = rel.snapshot_at(t(5.0), &opts).unwrap();
+        assert_eq!(got_in, want_in, "filter_inside, {policy:?}");
+        assert_eq!(got_pass, want_pass, "passes, {policy:?}");
+        assert_eq!(got_at, want_at, "snapshot_at, {policy:?}");
+        for stats in [s_in, s_pass, s_at] {
+            let stats = stats.unwrap();
+            assert_eq!(stats.index_fallbacks, 0, "{policy:?}");
+            let cand = stats.candidates.expect("pruned path");
+            assert!(cand <= rel.len(), "{policy:?}");
+        }
+    }
+    let (_, s) = rel
+        .passes("trip", &zone, &window, &full.index(IndexPolicy::Auto))
+        .unwrap();
+    let cand = s.unwrap().candidates.expect("pruned path");
+    assert!(cand < rel.len(), "the selective window prunes: {cand}");
 }

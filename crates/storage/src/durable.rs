@@ -330,33 +330,15 @@ enum StoreState {
     Gen(Arc<Generation>),
 }
 
-/// How [`StoreOptions::open`] treats WAL delta files found above the
-/// newest valid snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReplayPolicy {
-    /// Replay the contiguous delta chain in generation order (the
-    /// default). The first invalid or out-of-sequence delta ends the
-    /// chain; it and everything above it are removed and counted in
-    /// `durable.recoveries`.
-    #[default]
-    Deltas,
-    /// Ignore and delete all delta files: recover exactly the newest
-    /// valid full snapshot (an escape hatch for damaged chains and a
-    /// compatibility mode for pre-WAL tooling).
-    SnapshotOnly,
-}
-
-/// Builder for opening a [`DurableStore`] — the single entry point that
-/// replaces the old `create`/`open`/`open_degraded`/`open_store_file`/
-/// `open_store_file_degraded` constructor matrix:
+/// Builder for opening a [`DurableStore`] — its one open/create entry
+/// point:
 ///
 /// ```
-/// use mob_storage::{DurableStore, MemIo, ReplayPolicy};
+/// use mob_storage::{DurableStore, MemIo};
 ///
 /// let store = DurableStore::options()
 ///     .chunk_size(4096)
 ///     .degraded(false)
-///     .replay(ReplayPolicy::Deltas)
 ///     .open(MemIo::new())
 ///     .unwrap();
 /// assert_eq!(store.generation(), 0); // fresh directory
@@ -365,7 +347,6 @@ pub enum ReplayPolicy {
 pub struct StoreOptions {
     chunk_size: usize,
     degraded: bool,
-    replay: ReplayPolicy,
 }
 
 impl Default for StoreOptions {
@@ -375,14 +356,12 @@ impl Default for StoreOptions {
 }
 
 impl StoreOptions {
-    /// Default options: [`DEFAULT_CHUNK_SIZE`], strict decoding, delta
-    /// replay on.
+    /// Default options: [`DEFAULT_CHUNK_SIZE`], strict decoding.
     #[must_use]
     pub fn new() -> StoreOptions {
         StoreOptions {
             chunk_size: DEFAULT_CHUNK_SIZE,
             degraded: false,
-            replay: ReplayPolicy::Deltas,
         }
     }
 
@@ -403,20 +382,15 @@ impl StoreOptions {
         self
     }
 
-    /// Delta replay policy (see [`ReplayPolicy`]).
-    #[must_use]
-    pub fn replay(mut self, replay: ReplayPolicy) -> StoreOptions {
-        self.replay = replay;
-        self
-    }
-
     /// Open (or create) the durable store in `io`'s directory.
     ///
     /// Recovers the newest fully-valid snapshot (torn newer snapshots
     /// are skipped, deleted and counted in `durable.recoveries`), then
-    /// applies the replay policy to the delta chain above it. A fresh
-    /// directory opens at generation 0 with an empty snapshot; the
-    /// first commit writes generation 1.
+    /// replays the contiguous delta chain above it in generation order:
+    /// the first invalid or out-of-sequence delta ends the chain, and it
+    /// and everything above it are removed and counted in
+    /// `durable.recoveries`. A fresh directory opens at generation 0
+    /// with an empty snapshot; the first commit writes generation 1.
     ///
     /// All inputs are untrusted: damaged or forged files surface as
     /// recoveries or [`DecodeError`]s, never as panics.
@@ -426,16 +400,7 @@ impl StoreOptions {
             None => StoreState::Empty,
             Some(img) => DurableStore::<I>::state_from_image(img, self.degraded)?,
         };
-        match self.replay {
-            ReplayPolicy::Deltas => store.replay_deltas()?,
-            ReplayPolicy::SnapshotOnly => {
-                for name in store.io.list()? {
-                    if parse_delta_name(&name).is_some() {
-                        let _ = store.io.remove(&name);
-                    }
-                }
-            }
-        }
+        store.replay_deltas()?;
         Ok(store)
     }
 }
@@ -455,12 +420,6 @@ pub struct DurableStore<I: StoreIo> {
     /// Encoded bytes of those deltas.
     delta_bytes_since_snapshot: u64,
 }
-
-/// Result payload of [`DurableStore::open_store_file_degraded`]: the
-/// store handle plus, when a committed snapshot exists, the decoded
-/// [`StoreFile`] and the ids of the blobs quarantined by at-rest damage.
-#[deprecated(note = "use DurableStore::options().degraded(true).open(io) and snapshot()")]
-pub type DegradedOpen<I> = (DurableStore<I>, Option<(StoreFile, Vec<usize>)>);
 
 /// Staged content of a full-image commit.
 enum Staged {
@@ -557,56 +516,8 @@ impl DurableStore<crate::io::MemIo> {
 }
 
 impl<I: StoreIo> DurableStore<I> {
-    /// Start a durable store in a **fresh** directory.
-    #[deprecated(note = "use DurableStore::options().open(io); a fresh directory opens empty")]
-    pub fn create(io: I, chunk_size: usize) -> DecodeResult<DurableStore<I>> {
-        let chunk_size = validate_page_size(chunk_size)?;
-        if io.list()?.iter().any(|n| parse_snapshot_name(n).is_some()) {
-            return Err(DecodeError::Io(
-                "durable create: directory already contains snapshots (use open)".to_string(),
-            ));
-        }
-        Ok(DurableStore {
-            io,
-            chunk_size,
-            generation: 0,
-            state: StoreState::Empty,
-            deltas_since_snapshot: 0,
-            delta_bytes_since_snapshot: 0,
-        })
-    }
-
-    /// Recover the latest fully-valid committed payload (pre-WAL API:
-    /// delta files are ignored).
-    #[deprecated(note = "use DurableStore::options().open(io) and snapshot()/raw_payload()")]
-    pub fn open(io: I, chunk_size: usize) -> DecodeResult<(DurableStore<I>, Option<Vec<u8>>)> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, false)?;
-        let payload = img.map(|i| i.payload);
-        store.state = match &payload {
-            Some(p) => StoreState::Raw(p.clone()),
-            None => StoreState::Empty,
-        };
-        Ok((store, payload))
-    }
-
-    /// Recover the latest snapshot whose *superblock* is intact, even if
-    /// some chunk frames are damaged (pre-WAL API: delta files are
-    /// ignored).
-    #[deprecated(note = "use DurableStore::options().degraded(true).open(io)")]
-    pub fn open_degraded(
-        io: I,
-        chunk_size: usize,
-    ) -> DecodeResult<(DurableStore<I>, Option<DecodedImage>)> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, true)?;
-        store.state = match &img {
-            Some(i) => StoreState::Raw(i.payload.clone()),
-            None => StoreState::Empty,
-        };
-        Ok((store, img))
-    }
-
-    /// Shared recovery scan: newest valid snapshot wins, torn snapshots
-    /// and stale shadow files are removed. Returns the store (state
+    /// Recovery scan: newest valid snapshot wins, torn snapshots and
+    /// stale shadow files are removed. Returns the store (state
     /// [`StoreState::Empty`], to be set by the caller) and the decoded
     /// image, if any.
     fn open_inner(
@@ -722,7 +633,7 @@ impl<I: StoreIo> DurableStore<I> {
     }
 
     /// Replay the contiguous delta chain above the current generation
-    /// (see [`ReplayPolicy::Deltas`]). Stale deltas at or below the
+    /// (see [`StoreOptions::open`]). Stale deltas at or below the
     /// base are removed silently; the first invalid delta and everything
     /// above it are removed and counted in `durable.recoveries`.
     fn replay_deltas(&mut self) -> DecodeResult<()> {
@@ -975,73 +886,6 @@ impl<I: StoreIo> DurableStore<I> {
         }
     }
 
-    /// Commit a payload as the next generation.
-    #[deprecated(note = "use store.begin(), Txn::put_payload and Txn::commit")]
-    pub fn commit(&mut self, payload: &[u8]) -> DecodeResult<u64> {
-        self.commit_full(Staged::Payload(payload.to_vec()))
-    }
-
-    /// Commit a whole [`StoreFile`] (its serialized bytes) as the next
-    /// generation.
-    #[deprecated(note = "use store.begin(), Txn::put_store_file and Txn::commit")]
-    pub fn commit_store_file(&mut self, file: &StoreFile) -> DecodeResult<u64> {
-        let bytes = file.to_bytes()?;
-        let copy = StoreFile::from_parts(file.store().fork(), file.entries().to_vec());
-        self.commit_full(Staged::File(bytes, copy))
-    }
-
-    /// Open the latest committed [`StoreFile`] strictly (any damage
-    /// anywhere is an error). `Ok(None)` for a fresh directory. Pre-WAL
-    /// API: delta files are ignored.
-    #[deprecated(note = "use DurableStore::options().open(io) and snapshot()")]
-    pub fn open_store_file(
-        io: I,
-        chunk_size: usize,
-    ) -> DecodeResult<(DurableStore<I>, Option<StoreFile>)> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, false)?;
-        let file = match img {
-            Some(img) => Some(StoreFile::from_bytes(&img.payload)?),
-            None => None,
-        };
-        store.state = match &file {
-            Some(f) => StoreState::Gen(Arc::new(Generation::from_store_file(
-                store.generation,
-                StoreFile::from_parts(f.store().fork(), f.entries().to_vec()),
-                Vec::new(),
-            ))),
-            None => StoreState::Empty,
-        };
-        Ok((store, file))
-    }
-
-    /// Open the latest committed [`StoreFile`] in degraded mode: blobs
-    /// whose bytes were damaged at rest are quarantined (reads surface
-    /// [`DecodeError::Quarantined`]) and their indices returned, while
-    /// the catalog and every healthy blob stay fully readable. Damage in
-    /// structural bytes still fails the open. Pre-WAL API: delta files
-    /// are ignored.
-    #[deprecated(note = "use DurableStore::options().degraded(true).open(io) and snapshot()")]
-    #[allow(deprecated)]
-    pub fn open_store_file_degraded(io: I, chunk_size: usize) -> DecodeResult<DegradedOpen<I>> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, true)?;
-        let file = match img {
-            Some(img) => Some(StoreFile::from_bytes_with_damage(
-                &img.payload,
-                &img.damaged,
-            )?),
-            None => None,
-        };
-        store.state = match &file {
-            Some((f, quarantined)) => StoreState::Gen(Arc::new(Generation::from_store_file(
-                store.generation,
-                StoreFile::from_parts(f.store().fork(), f.entries().to_vec()),
-                quarantined.clone(),
-            ))),
-            None => StoreState::Empty,
-        };
-        Ok((store, file))
-    }
-
     /// The last committed generation (0 if none).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1263,18 +1107,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn legacy_constructors_still_work() {
-        #![allow(deprecated)]
-        let dir = MemIo::new();
-        let mut store = DurableStore::create(dir.clone(), 32).unwrap();
-        assert_eq!(store.commit(b"alpha").unwrap(), 1);
-        let (reopened, payload) = DurableStore::open(dir.clone(), 32).unwrap();
-        assert_eq!(reopened.generation(), 1);
-        assert_eq!(payload.as_deref(), Some(&b"alpha"[..]));
-        assert!(DurableStore::create(dir, 32).is_err());
-    }
-
     // ---- delta commit / replay / compaction --------------------------
 
     fn units_for(samples: &[(f64, f64)]) -> Vec<UPoint> {
@@ -1413,26 +1245,6 @@ mod tests {
             };
             assert_eq!(m, m_before);
         }
-    }
-
-    #[test]
-    fn snapshot_only_replay_discards_the_delta_chain() {
-        let dir = MemIo::new();
-        let mut store = open_mem(&dir);
-        let mut txn = store.begin();
-        txn.put_store_file(&StoreFile::new()).unwrap();
-        txn.commit().unwrap();
-        let mut txn = store.begin();
-        txn.append_units("car", &units_for(&[(0.0, 0.0), (1.0, 1.0)]));
-        txn.commit().unwrap();
-        let reopened = DurableStore::options()
-            .chunk_size(32)
-            .replay(ReplayPolicy::SnapshotOnly)
-            .open(dir.clone())
-            .unwrap();
-        assert_eq!(reopened.generation(), 1, "deltas ignored");
-        assert!(reopened.snapshot().unwrap().get("car").is_none());
-        assert!(!dir.exists(&delta_name(2)), "deltas deleted");
     }
 
     #[test]

@@ -83,8 +83,7 @@ pub use delta::{
 };
 pub use durable::{
     decode_image_degraded, decode_image_strict, parse_snapshot_name, snapshot_name, DecodedImage,
-    DurableStore, ReplayPolicy, StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC,
-    DURABLE_VERSION,
+    DurableStore, StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC, DURABLE_VERSION,
 };
 pub use generation::{splice_units, Generation};
 pub use index_store::{load_index, save_index, StoredIndex};
