@@ -27,7 +27,8 @@ fn q1_sweep_fleet(c: &mut Criterion) {
 }
 
 fn q2_sweep_fleet(c: &mut Criterion) {
-    // Quadratic join: keep sizes modest.
+    // Filter-and-refine join: an R-tree over flight cubes, then the
+    // exact closest-approach test on the surviving pairs only.
     let mut group = c.benchmark_group("queries/q2-close-encounters");
     group.sample_size(10);
     for n in [8usize, 16, 32, 64] {

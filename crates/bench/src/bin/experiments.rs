@@ -16,14 +16,16 @@
 //! checking the Section-5 bounds (O(log n) `atinstant`,
 //! O(q·log(n/q) + q) batch probing) against the measured counts, plus
 //! the E10 planner bound (`index.nodes_visited + index.candidates <
-//! scan.tuples` on a selective window query, answers index-invariant).
+//! scan.tuples` on a selective window query, answers index-invariant)
+//! and the Q2 filter bound (`rel.close_encounters.pairs_refined <=
+//! n(n-1)/8` on a 128-plane fleet, answer equal to the nested loop).
 
 use mob_base::t;
 use mob_bench::*;
 use mob_core::moving::mregion::inside;
 use mob_core::{ConstUnit, Mapping, MappingBuilder, UReal, Unit};
 use mob_gen::plane_fleet;
-use mob_rel::{close_encounters, long_flights, planes_relation, ScanOpts};
+use mob_rel::{close_encounters, closest_approach_seq, long_flights, Relation, ScanOpts};
 use mob_spatial::{pt, Region};
 use mob_storage::dbarray::save_array_with_threshold;
 use mob_storage::mapping_store::save_mpoint;
@@ -643,16 +645,11 @@ fn ablation() {
 fn queries() {
     header("Q1/Q2  Section 2 queries on generated fleets");
     println!(
-        "{:>8} {:>10} {:>14} {:>10} {:>14} {:>8}",
-        "planes", "q1 rows", "q1 ns", "q2 pairs", "q2 ns", "q2/q1"
+        "{:>8} {:>10} {:>14} {:>10} {:>10} {:>14} {:>8}",
+        "planes", "q1 rows", "q1 ns", "q2 pairs", "q2 refined", "q2 ns", "q2/q1"
     );
-    for n in [8usize, 16, 32, 64] {
-        let planes = planes_relation(
-            plane_fleet(0xF1EE7, n, 12)
-                .into_iter()
-                .map(|p| (p.airline, p.id, p.flight))
-                .collect(),
-        );
+    for n in [8usize, 16, 32, 64, 128, 256] {
+        let planes = bench_fleet(n, 12);
         let mut q1rows = 0;
         let q1 = median_nanos(5, || {
             q1rows = long_flights(&planes, "Lufthansa", 1500.0).len();
@@ -661,19 +658,44 @@ fn queries() {
         let q2 = median_nanos(3, || {
             q2rows = close_encounters(&planes, 25.0).len();
         });
+        let (_, report) =
+            mob_obs::explain("q2.close_encounters", || close_encounters(&planes, 25.0));
+        let refined = report.metrics().get("rel.close_encounters.pairs_refined");
         println!(
-            "{:>8} {:>10} {:>14} {:>10} {:>14} {:>8.1}",
+            "{:>8} {:>10} {:>14} {:>10} {:>10} {:>14} {:>8.1}",
             n,
             q1rows,
             q1,
             q2rows,
+            refined,
             q2,
             q2 as f64 / q1.max(1) as f64
         );
     }
     println!(
-        "expected shape: q1 linear in fleet size; q2 quadratic (nested-loop spatio-temporal join)"
+        "expected shape: q1 linear in fleet size; q2 filter-and-refine (R-tree over flight \
+         cubes, unit-cube merge, exact test on the refined pairs only)"
     );
+}
+
+/// Q2 as the plain nested loop over every pair (`join` + `project`):
+/// the reference `close_encounters` must equal.
+fn nested_loop_q2(planes: &Relation, threshold: f64) -> Relation {
+    let id = planes.attr("id");
+    let f = planes.attr("flight");
+    let thr = mob_base::Real::new(threshold);
+    planes
+        .join(planes, |p, q| {
+            if p.at(id).as_str() >= q.at(id).as_str() {
+                return false;
+            }
+            let (Some(fp), Some(fq)) = (p.at(f).as_mpoint_seq(), q.at(f).as_mpoint_seq()) else {
+                return false;
+            };
+            matches!(closest_approach_seq(&fp, &fq), mob_base::Val::Def(d) if d < thr)
+        })
+        .project(&["left.airline", "left.id", "right.airline", "right.id"])
+        .expect("projection attributes exist")
 }
 
 /// F1/F8 sanity: the structures behind the figures, as counts.
@@ -837,7 +859,34 @@ fn explain_mode() {
          or the pruned answer diverged (identical={identical})"
     );
 
-    println!("\nall registry-derived counts satisfy the Section-5 and planner bounds.");
+    // Q2: the filter-and-refine join sends only the pairs whose unit
+    // cubes meet, grown by the threshold, to the exact closest-approach
+    // test: about 9% of the pairs of the Q1/Q2 table's fleet.
+    let n = 128usize;
+    let planes = bench_fleet(n, 12);
+    let all = (n * (n - 1) / 2) as u64;
+    let bound = (n * (n - 1) / 8) as u64;
+    println!("\nQ2  close_encounters(25) on a {n}-plane fleet:");
+    println!("    rel.close_encounters.pairs_refined <= n(n-1)/8, answer = nested loop");
+    let reference = nested_loop_q2(&planes, 25.0);
+    let (answer, report) =
+        mob_obs::explain("q2.close_encounters", || close_encounters(&planes, 25.0));
+    print!("{report}");
+    let refined = report.metrics().get("rel.close_encounters.pairs_refined");
+    let identical = answer == reference;
+    let ok = refined <= bound && identical;
+    println!(
+        "  n={n:>6}  pairs={all}  refined={refined} (bound {bound})  matches={}  \
+         identical={identical}  ok={ok}",
+        answer.len()
+    );
+    assert!(
+        ok,
+        "Q2 bound violated: pairs_refined={refined} > {bound}, or the answer diverged from \
+         the nested loop (identical={identical})"
+    );
+
+    println!("\nall registry-derived counts satisfy the Section-5, planner and Q2 bounds.");
 }
 
 fn main() {

@@ -5,7 +5,9 @@
 //! crate provides the minimal relational engine needed to run the
 //! paper's example queries end to end: typed schemas, relations with
 //! selection / projection / extension / nested-loop join, and the two
-//! queries of Section 2 implemented verbatim over `mpoint` attributes.
+//! queries of Section 2 with their verbatim semantics over `mpoint`
+//! attributes (the spatio-temporal join as filter-and-refine over unit
+//! bounding cubes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Relations and the operators needed to run the paper's queries:
-//! selection, projection, extension (computed attributes) and the
-//! nested-loop join used by the spatio-temporal join of Sec 2 — plus
+//! selection, projection, extension (computed attributes) and a
+//! generic nested-loop join — plus
 //! the optional per-relation R-tree index consulted by the scan
 //! planner ([`crate::plan`]).
 

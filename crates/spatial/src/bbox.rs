@@ -125,6 +125,20 @@ impl Rect {
             && p.y <= self.max_y
     }
 
+    /// The rectangle grown by `d` on every side; a negative `d` shrinks
+    /// it and may empty it. [`Rect::EMPTY`] stays empty for every `d`.
+    pub fn expand(&self, d: Real) -> Rect {
+        if self.is_empty() {
+            return Rect::EMPTY;
+        }
+        Rect::new(
+            self.min_x - d,
+            self.min_y - d,
+            self.max_x + d,
+            self.max_y + d,
+        )
+    }
+
     /// Width (0 for empty).
     pub fn width(&self) -> Real {
         if self.is_empty() {
@@ -202,6 +216,15 @@ impl Cube {
         Interval::closed(self.t_min, self.t_max)
     }
 
+    /// The cube grown by `d` in x and y ([`Rect::expand`]); the time
+    /// span is unchanged.
+    pub fn expand(&self, d: Real) -> Cube {
+        Cube {
+            rect: self.rect.expand(d),
+            ..*self
+        }
+    }
+
     /// Union of two cubes.
     pub fn union(&self, other: &Cube) -> Cube {
         Cube {
@@ -251,6 +274,37 @@ mod tests {
         assert!(!a.intersects(&c));
         assert!(a.intersects(&edge)); // closed semantics: shared edge counts
         assert!(Rect::new(r(3.0), r(0.0), r(1.0), r(1.0)).is_empty()); // inverted
+    }
+
+    #[test]
+    fn expand_grows_shrinks_and_keeps_empty() {
+        let a = Rect::new(r(0.0), r(0.0), r(2.0), r(1.0));
+        assert_eq!(a.expand(r(0.0)), a);
+        assert_eq!(
+            a.expand(r(1.0)),
+            Rect::new(r(-1.0), r(-1.0), r(3.0), r(2.0))
+        );
+        // Shrinking: a 2×1 rect survives 0.5 (it degenerates to a
+        // segment) and empties beyond it.
+        assert_eq!(a.expand(r(-0.5)), Rect::new(r(0.5), r(0.5), r(1.5), r(0.5)));
+        assert!(a.expand(r(-0.75)).is_empty());
+        // EMPTY's inverted (1,1,0,0) bounds must not turn into a real box
+        // once the growth reaches 0.5.
+        for d in [0.0, 0.25, 0.5, 1.0, 1e9, f64::INFINITY, -1.0] {
+            assert!(Rect::EMPTY.expand(r(d)).is_empty(), "EMPTY grown by {d}");
+        }
+
+        let span = Interval::closed(t(3.0), t(4.0));
+        let c = Cube::new(a, &span);
+        assert_eq!(c.expand(r(0.0)), c);
+        let g = c.expand(r(1.0));
+        assert_eq!(g.rect, a.expand(r(1.0)));
+        assert_eq!((g.t_min, g.t_max), (t(3.0), t(4.0)));
+        assert!(Cube::new(Rect::EMPTY, &span).expand(r(2.0)).rect.is_empty());
+        // Grown by the gap, two cubes side by side start to touch.
+        let b = Cube::new(Rect::new(r(5.0), r(0.0), r(6.0), r(1.0)), &span);
+        assert!(!c.expand(r(2.5)).intersects(&b));
+        assert!(c.expand(r(3.0)).intersects(&b));
     }
 
     #[test]
