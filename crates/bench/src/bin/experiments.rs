@@ -1,5 +1,6 @@
-//! The experiment driver: regenerates every measurable table of
-//! DESIGN.md §2 (E1–E5, Q1–Q2) and prints the rows that EXPERIMENTS.md
+//! The experiment driver, the workspace's one measurement harness:
+//! regenerates every measurable table of DESIGN.md §2 (E1–E11, the
+//! A1–A4 ablations, Q1/Q2) and prints the rows that EXPERIMENTS.md
 //! records. Run with:
 //!
 //! ```sh
@@ -609,7 +610,7 @@ fn e11() {
     println!("WAL path turns per-tick durability from O(store) into O(appended units)");
 }
 
-/// A1: ablation of the bounding-cube summary field (Sec 4.2).
+/// A1–A4: ablations of the Sec 4.2 design choices.
 fn ablation() {
     header("A1  ablation: bounding-cube fast path (disjoint workloads)");
     println!(
@@ -639,6 +640,83 @@ fn ablation() {
         );
     }
     println!("expected shape: cube path flat, scan path linear in S");
+
+    header("A2  ablation: sorted units array, binary search vs linear scan [Alg 5.1]");
+    println!(
+        "{:>8} {:>8} {:>14} {:>14} {:>8}",
+        "n units", "probes", "binary ns/op", "linear ns/op", "speedup"
+    );
+    const PROBES: usize = 64;
+    for n in [64usize, 1024, 16384] {
+        let m = Mapping::try_new(
+            (0..n)
+                .map(|k| {
+                    UReal::constant(
+                        mob_base::Interval::closed_open(t(k as f64), t(k as f64 + 1.0)),
+                        mob_base::r(k as f64),
+                    )
+                })
+                .collect(),
+        )
+        .expect("disjoint slices");
+        let probes: Vec<mob_base::Instant> = (0..PROBES)
+            .map(|k| t(n as f64 * (k as f64 + 0.5) / PROBES as f64))
+            .collect();
+        let binary = median_nanos(9, || {
+            for &p in &probes {
+                std::hint::black_box(m.unit_index_at(p));
+            }
+        }) / PROBES as u128;
+        let linear = median_nanos(9, || {
+            for &p in &probes {
+                std::hint::black_box(m.units().iter().position(|u| u.interval().contains(&p)));
+            }
+        }) / PROBES as u128;
+        println!(
+            "{:>8} {:>8} {:>14} {:>14} {:>8.1}",
+            n,
+            PROBES,
+            binary,
+            linear,
+            linear as f64 / binary.max(1) as f64
+        );
+    }
+    println!("expected shape: binary search logarithmic in n, linear scan linear in n");
+
+    header("A3  ablation: concat merge, inside units vs raw refinement parts [Sec 5.2]");
+    let storm = bench_storm(64, 12);
+    let point = crossing_point(64);
+    let merged = inside(&point, &storm).num_units();
+    let parts = mob_core::refinement_both(&point, &storm).len();
+    println!(
+        "{:>14} {:>16} {:>8}",
+        "inside units", "refinement parts", "ratio"
+    );
+    println!(
+        "{:>14} {:>16} {:>8.1}",
+        merged,
+        parts,
+        parts as f64 / merged.max(1) as f64
+    );
+    println!("expected shape: the merged result has far fewer units than refinement parts");
+
+    header("A4  ablation: exact critical-time uregion validation [Sec 4.2]");
+    println!("{:>8} {:>14}", "verts", "try_new ns");
+    for verts in [8usize, 32, 128] {
+        let r0 = mob_gen::convex_blob(7, pt(0.0, 0.0), 20.0, verts, 0.3);
+        let r1 = mob_gen::convex_blob(7, pt(10.0, 5.0), 25.0, verts, 0.3);
+        let iv = mob_base::Interval::closed(t(0.0), t(1.0));
+        let cyc = mob_core::MCycle::interpolate(t(0.0), &r0, t(1.0), &r1)
+            .expect("matching vertex counts");
+        let ns = median_nanos(7, || {
+            std::hint::black_box(
+                mob_core::URegion::try_new(iv, vec![mob_core::MFace::simple(cyc.clone())])
+                    .expect("valid interpolation"),
+            );
+        });
+        println!("{:>8} {:>14}", verts, ns);
+    }
+    println!("expected shape: superlinear in the moving-segment count (pairwise critical times)");
 }
 
 /// Q1/Q2: the Section 2 queries.

@@ -1,15 +1,16 @@
 //! # `mob-bench` — shared workload builders for the experiment harness
 //!
-//! Each experiment of DESIGN.md §2 has a Criterion bench (relative
-//! timing, `cargo bench`) and a row generator in the `experiments`
-//! binary (absolute scaling tables for EXPERIMENTS.md). Both use the
-//! builders in this crate so they measure identical workloads.
+//! The `experiments` binary is the workspace's one measurement
+//! harness: each experiment and ablation of DESIGN.md §2 is a row
+//! generator there, printing the scaling tables EXPERIMENTS.md quotes.
+//! The seeded workloads it times are built here, so their sizes are
+//! unit-tested apart from the timing code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mob_base::{t, Instant};
-use mob_core::{Mapping, MovingPoint, MovingRegion};
+use mob_core::{MovingPoint, MovingRegion};
 use mob_gen::{flight_mpoint, storm};
 use mob_spatial::{Point, Seg};
 
@@ -82,9 +83,9 @@ pub fn square_grid_soup(k: usize) -> Vec<Seg> {
     out
 }
 
-/// Median wall-clock nanoseconds of `f` over `iters` runs (the
-/// `experiments` binary's measurement primitive — Criterion handles the
-/// statistically careful version).
+/// Median wall-clock nanoseconds of `f` over `iters` runs — the
+/// `experiments` binary's measurement primitive. Its tables report the
+/// shape of a series across sizes, so one median per row suffices.
 pub fn median_nanos(iters: usize, mut f: impl FnMut()) -> u128 {
     let mut samples: Vec<u128> = (0..iters)
         .map(|_| {
@@ -95,11 +96,6 @@ pub fn median_nanos(iters: usize, mut f: impl FnMut()) -> u128 {
         .collect();
     samples.sort();
     samples[samples.len() / 2]
-}
-
-/// Sanity helper: a mapping's unit count (for table rows).
-pub fn units_of<U: mob_core::Unit>(m: &Mapping<U>) -> usize {
-    m.num_units()
 }
 
 #[cfg(test)]

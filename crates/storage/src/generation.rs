@@ -129,8 +129,12 @@ impl Generation {
         &self.quarantined
     }
 
-    /// Open a lazy view over the `moving(point)` root `name` — same
-    /// error contract as [`StoreFile::open_mpoint`].
+    /// Open a lazy view over the `moving(point)` root `name`.
+    ///
+    /// Missing names and kind mismatches surface as
+    /// [`DecodeError::BadStructure`]s, and [`Verify`] chooses between
+    /// the full `O(n)` structural scan and the `O(1)` fast path for a
+    /// generation that was already verified (see [`view::open_mpoint`]).
     pub fn open_mpoint(
         &self,
         name: &str,

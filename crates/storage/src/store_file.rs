@@ -26,15 +26,11 @@
 use crate::dbarray::{Placement, SavedArray};
 use crate::index_store::StoredIndex;
 use crate::line_store::{StoredLine, StoredPoints};
-use crate::mapping_store::{
-    StoredMLine, StoredMPoints, StoredMRegion, StoredMapping, UBoolRecord, ULineRecord,
-    UPointRecord, UPointsRecord, URealRecord, URegionRecord,
-};
+use crate::mapping_store::{StoredMLine, StoredMPoints, StoredMRegion, StoredMapping};
 use crate::page::{BlobId, PageStore};
 use crate::range_store::StoredPeriods;
 use crate::record::{get_f64, get_u32, need_bytes, put_f64, put_u32};
 use crate::region_store::StoredRegion;
-use crate::view::{self, MappingView, Verify};
 use mob_base::{DecodeError, DecodeResult};
 
 /// File magic: identifies a serialized store file (version 1).
@@ -174,105 +170,6 @@ impl StoreFile {
     /// at serialization or read time, exactly as for a decoded file.
     pub fn from_parts(store: PageStore, entries: Vec<(String, RootRecord)>) -> StoreFile {
         StoreFile { store, entries }
-    }
-
-    /// Resolve a catalog entry fallibly: a missing name is a
-    /// [`DecodeError::BadStructure`], not an `Option` to unwrap.
-    fn resolve(&self, name: &str) -> DecodeResult<&RootRecord> {
-        self.get(name).ok_or_else(|| DecodeError::BadStructure {
-            what: "store file catalog",
-            detail: format!("no entry named {name:?}"),
-        })
-    }
-
-    /// Kind-mismatch error for a resolved entry of the wrong type.
-    fn kind_mismatch(name: &str, want: &'static str, found: &RootRecord) -> DecodeError {
-        DecodeError::BadStructure {
-            what: "store file catalog",
-            detail: format!("entry {name:?} is a {}, not a {want}", found.kind_name()),
-        }
-    }
-
-    /// Open a lazy view over the `moving(bool)` entry `name`.
-    ///
-    /// The unified, fallible query entry point: missing names and kind
-    /// mismatches surface as [`DecodeError`]s, and [`Verify`] chooses
-    /// between the full `O(n)` structural scan and the `O(1)` fast path
-    /// for store files that a verifier already audited.
-    pub fn open_mbool(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, UBoolRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MBool(stored) => view::open_mbool(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mbool", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(real)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mreal(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, URealRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MReal(stored) => view::open_mreal(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mreal", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(point)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mpoint(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, UPointRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MPoint(stored) => view::open_mpoint(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mpoint", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(points)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mpoints(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, UPointsRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MPoints(stored) => view::open_mpoints(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mpoints", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(line)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mline(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, ULineRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MLine(stored) => view::open_mline(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mline", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(region)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mregion(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, URegionRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MRegion(stored) => view::open_mregion(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mregion", other)),
-        }
     }
 
     /// Serialize the whole store file (pages + catalog) to bytes.
@@ -673,6 +570,7 @@ fn read_root(cur: &mut Cursor<'_>, tag: u8, n_blobs: usize) -> DecodeResult<Root
 mod tests {
     use super::*;
     use crate::mapping_store::{save_mbool, save_mpoint};
+    use crate::view::{self, Verify};
     use mob_base::{t, Periods, TimeInterval};
     use mob_core::{MovingBool, MovingPoint, UnitSeq};
     use mob_spatial::pt;
@@ -710,15 +608,20 @@ mod tests {
         assert_eq!(back.entries().len(), 2);
         assert_eq!(back.entries()[0].0, "trip");
         assert_eq!(back.entries()[1].0, "flag");
-        // The decoded root records open as valid views through the
-        // catalog-level API.
-        let view = back.open_mpoint("trip", Verify::Full).unwrap();
+        // The decoded root records open as valid views.
+        let Some(RootRecord::MPoint(trip)) = back.get("trip") else {
+            panic!("trip decodes as an mpoint root");
+        };
+        let view = view::open_mpoint(trip, back.store(), Verify::Full).unwrap();
         view.validate().unwrap();
         let orig = sample_mpoint();
         assert_eq!(view.len(), orig.len());
         let loaded = view.materialize_validated().unwrap();
         assert_eq!(loaded.len(), orig.len());
-        back.open_mbool("flag", Verify::Full)
+        let Some(RootRecord::MBool(flag)) = back.get("flag") else {
+            panic!("flag decodes as an mbool root");
+        };
+        view::open_mbool(flag, back.store(), Verify::Full)
             .unwrap()
             .validate()
             .unwrap();
@@ -726,27 +629,22 @@ mod tests {
 
     #[test]
     fn open_rejects_missing_names_and_kind_mismatches() {
-        let file = sample_file();
+        let gen = crate::Generation::from_store_file(1, sample_file(), Vec::new());
         // Missing name.
-        let Err(err) = file.open_mpoint("nope", Verify::Full) else {
+        let Err(err) = gen.open_mpoint("nope", Verify::Full) else {
             panic!("missing name must fail");
         };
         assert!(matches!(err, DecodeError::BadStructure { .. }), "{err}");
         // Kind mismatch: "flag" is an mbool, not an mpoint.
-        let Err(err) = file.open_mpoint("flag", Verify::Full) else {
+        let Err(err) = gen.open_mpoint("flag", Verify::Full) else {
             panic!("kind mismatch must fail");
         };
         assert!(
             err.to_string().contains("mbool"),
             "mismatch error names the found kind: {err}"
         );
-        // Every typed opener rejects a wrong-kind entry.
-        assert!(file.open_mreal("trip", Verify::Full).is_err());
-        assert!(file.open_mpoints("trip", Verify::Full).is_err());
-        assert!(file.open_mline("trip", Verify::Full).is_err());
-        assert!(file.open_mregion("trip", Verify::Full).is_err());
         // Preverified skips the O(n) scan but still resolves the entry.
-        assert!(file.open_mpoint("trip", Verify::Preverified).is_ok());
+        assert!(gen.open_mpoint("trip", Verify::Preverified).is_ok());
     }
 
     #[test]

@@ -307,9 +307,18 @@ fn soak_iteration(iter: u64, campaign_seed: u64, totals: &mut Totals) {
     .into_io()
     .into_survivor();
 
+    // The chain audit, run before recovery touches the directory,
+    // predicts the generation recovery reaches.
+    let predicted = mob_check::audit_chain(&survivor).expect("audit runs");
     let recovered = DurableStore::options()
         .open(survivor.clone())
         .expect("recovery never errors");
+    assert_eq!(
+        predicted.head.unwrap_or(0),
+        recovered.generation(),
+        "iteration {iter} ({mode:?}): chain audit mispredicts recovery:\n{}",
+        predicted.render()
+    );
     assert_eq!(
         mpoint_units(&recovered.snapshot().expect("recovered snapshot")),
         replay_expected(&acked),
