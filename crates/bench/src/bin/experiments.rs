@@ -17,9 +17,12 @@
 //! checking the Section-5 bounds (O(log n) `atinstant`,
 //! O(q·log(n/q) + q) batch probing) against the measured counts, plus
 //! the E10 planner bound (`index.nodes_visited + index.candidates <
-//! scan.tuples` on a selective window query, answers index-invariant)
-//! and the Q2 filter bound (`rel.close_encounters.pairs_refined <=
-//! n(n-1)/8` on a 128-plane fleet, answer equal to the nested loop).
+//! scan.tuples` on a selective window query, answers index-invariant),
+//! the Q2 filter bound (`rel.close_encounters.pairs_refined <=
+//! n(n-1)/8` on a 128-plane fleet, answer equal to the nested loop) and
+//! the E11 commit bound (one delta commit of `n` objects writes at most
+//! `2n` pages and re-splices the same number of stored units after 32
+//! and after 512 ticks of history).
 
 use mob_base::t;
 use mob_bench::*;
@@ -510,12 +513,58 @@ fn e10() {
     println!("correctness one (the planner falls back to the full scan before risking it)");
 }
 
+/// One E11 ingestion tick: every one of `n` objects reports one sample,
+/// and the sealed tails go out as one delta commit. Returns the number
+/// of units staged.
+fn e11_tick(
+    store: &mut mob_storage::DurableStore<mob_storage::MemIo>,
+    ingest: &mut mob_storage::Ingestor,
+    n: usize,
+    tick: usize,
+) -> usize {
+    for obj in 0..n {
+        let x = (obj % 7) as f64;
+        let wiggle = (tick % 2) as f64 * 3.0;
+        ingest
+            .append(
+                &format!("obj/{obj:04}"),
+                t(tick as f64),
+                pt(x + tick as f64, wiggle - x),
+            )
+            .expect("fresh instants");
+    }
+    let mut txn = store.begin();
+    let staged = ingest.seal_into(&mut txn);
+    txn.commit().expect("delta commit");
+    staged
+}
+
+/// A store of `n` objects after `history` E11 ticks, and the ingestor
+/// holding their open tails.
+fn e11_store(
+    n: usize,
+    history: usize,
+) -> (
+    mob_storage::DurableStore<mob_storage::MemIo>,
+    mob_storage::Ingestor,
+) {
+    let mut store = mob_storage::DurableStore::options()
+        .chunk_size(256)
+        .open(mob_storage::MemIo::new())
+        .expect("open");
+    let mut ingest = mob_storage::Ingestor::new();
+    for tick in 0..history {
+        e11_tick(&mut store, &mut ingest, n, tick);
+    }
+    (store, ingest)
+}
+
 /// E11: live ingestion — a delta commit's durable bytes are bounded by
 /// the appended units (plus fixed framing), not by the store size; the
 /// registry's `durable.bytes_committed` counter is the witness.
 fn e11() {
     use mob_storage::mapping_store::UPointRecord;
-    use mob_storage::{DurableStore, FixedRecord, Ingestor, MemIo};
+    use mob_storage::FixedRecord;
     header(
         "E11  live ingestion: delta commit bytes ~ appended units, not store size [DESIGN.md §13]",
     );
@@ -526,7 +575,6 @@ fn e11() {
         );
         return;
     }
-    const CHUNK: usize = 256;
     const HISTORY: usize = 32;
     const RECORD: usize = <UPointRecord as FixedRecord>::SIZE;
     println!("workload: per-object tails, one sample per object per tick, delta commit each");
@@ -538,47 +586,10 @@ fn e11() {
         "objects", "history", "k units", "delta bytes", "snap bytes", "ratio"
     );
     for n in [16usize, 64, 256] {
-        let mut store = DurableStore::options()
-            .chunk_size(CHUNK)
-            .open(MemIo::new())
-            .expect("open");
-        let mut ingest = Ingestor::new();
-        let mut tick = 0usize;
-        for _ in 0..HISTORY {
-            for obj in 0..n {
-                let x = (obj % 7) as f64;
-                let wiggle = (tick % 2) as f64 * 3.0;
-                ingest
-                    .append(
-                        &format!("obj/{obj:04}"),
-                        t(tick as f64),
-                        pt(x + tick as f64, wiggle - x),
-                    )
-                    .expect("fresh instants");
-            }
-            let mut txn = store.begin();
-            ingest.seal_into(&mut txn);
-            txn.commit().expect("history commit");
-            tick += 1;
-        }
-
+        let (mut store, mut ingest) = e11_store(n, HISTORY);
         // The measured tick: k = n sealed units, one delta commit.
-        let mut staged = 0usize;
-        let ((), report) = mob_obs::explain("e11.delta_commit", || {
-            for obj in 0..n {
-                let x = (obj % 7) as f64;
-                let wiggle = (tick % 2) as f64 * 3.0;
-                ingest
-                    .append(
-                        &format!("obj/{obj:04}"),
-                        t(tick as f64),
-                        pt(x + tick as f64, wiggle - x),
-                    )
-                    .expect("fresh instants");
-            }
-            let mut txn = store.begin();
-            staged = ingest.seal_into(&mut txn);
-            txn.commit().expect("measured commit");
+        let (staged, report) = mob_obs::explain("e11.delta_commit", || {
+            e11_tick(&mut store, &mut ingest, n, HISTORY)
         });
         let delta_bytes = report.metrics().get("durable.bytes_committed");
         let bound = 1024 + 4 * staged as u64 * RECORD as u64;
@@ -964,7 +975,39 @@ fn explain_mode() {
          the nested loop (identical={identical})"
     );
 
-    println!("\nall registry-derived counts satisfy the Section-5, planner and Q2 bounds.");
+    // E11: the in-memory work of one delta commit is O(appended units):
+    // the pages it writes and the stored units it re-splices must not
+    // grow with the history the touched objects already have. Each
+    // touched object rewrites its last partial page, and its appended
+    // records may spill into one more, wherever the history happens to
+    // end within a page.
+    let n = 16usize;
+    println!("\nE11  one delta commit of {n} objects after a history sweep:");
+    println!("     store.pages_written <= 2n and durable.units_respliced equal at every history");
+    let mut seen: Option<u64> = None;
+    for history in [32usize, 512] {
+        let (mut store, mut ingest) = e11_store(n, history);
+        let (staged, report) = mob_obs::explain("e11.delta_commit", || {
+            e11_tick(&mut store, &mut ingest, n, history)
+        });
+        print!("{report}");
+        let pages = report.metrics().get("store.pages_written");
+        let respliced = report.metrics().get("durable.units_respliced");
+        let decoded = report.metrics().get("view.units_decoded");
+        println!(
+            "  history={history:>4}  staged={staged}  pages_written={pages}  \
+             units_respliced={respliced}  units_decoded={decoded}"
+        );
+        let first = *seen.get_or_insert(respliced);
+        assert!(
+            respliced > 0 && respliced == first && pages <= 2 * n as u64,
+            "E11 commit work grows with history: pages_written={pages} (bound {}), \
+             units_respliced={respliced} at {history} ticks, {first} at 32",
+            2 * n
+        );
+    }
+
+    println!("\nall registry-derived counts satisfy the Section-5, planner, Q2 and E11 bounds.");
 }
 
 fn main() {

@@ -87,16 +87,62 @@ pub fn save_array_with_threshold<T: FixedRecord>(
     store: &mut PageStore,
     threshold: usize,
 ) -> SavedArray {
-    let bytes = write_all(items);
-    let placement = if bytes.len() <= threshold {
+    SavedArray {
+        count: items.len(),
+        placement: place(write_all(items), store, threshold),
+    }
+}
+
+/// \[DG98\]'s placement rule: `bytes` stay inline when at most
+/// `threshold` long, and go to a new external blob otherwise.
+fn place(bytes: Vec<u8>, store: &mut PageStore, threshold: usize) -> Placement {
+    if bytes.len() <= threshold {
         Placement::Inline(bytes)
     } else {
         Placement::External(store.write_blob(&bytes))
-    };
-    SavedArray {
-        count: items.len(),
-        placement,
     }
+}
+
+/// Save the first `keep` records of `base` followed by `suffix` — what
+/// [`save_array`] of those records would save, byte for byte and with
+/// the same placement, without re-encoding the kept prefix.
+///
+/// When both `base` and the result are external, the result is a
+/// [`PageStore::extend_blob`] of `base`: its full pages are shared and
+/// only the last partial page plus the suffix are written, so the cost
+/// is proportional to the suffix, not the array. Otherwise (an inline
+/// base, or a result at or under [`INLINE_THRESHOLD`]) the prefix is
+/// small or crosses into external placement once, and is copied.
+///
+/// The stored bytes are untrusted: a `keep` past the end of `base` is a
+/// [`DecodeError`], and the kept prefix is read through
+/// [`read_array_bytes`].
+pub(crate) fn extend_array<T: FixedRecord>(
+    base: &SavedArray,
+    keep: usize,
+    suffix: &[T],
+    store: &mut PageStore,
+) -> DecodeResult<SavedArray> {
+    let overflow = || DecodeError::OutOfBounds {
+        what: "array extension",
+        index: usize::MAX,
+        bound: base.count,
+    };
+    let keep_bytes = keep.checked_mul(T::SIZE).ok_or_else(overflow)?;
+    let count = keep.checked_add(suffix.len()).ok_or_else(overflow)?;
+    let tail = write_all(suffix);
+    let total = keep_bytes.checked_add(tail.len()).ok_or_else(overflow)?;
+    let placement = match &base.placement {
+        Placement::External(id) if total > INLINE_THRESHOLD => {
+            Placement::External(store.extend_blob(*id, keep_bytes, &tail)?)
+        }
+        _ => {
+            let mut bytes = read_array_bytes(base, store, 0, keep_bytes)?;
+            bytes.extend_from_slice(&tail);
+            place(bytes, store, INLINE_THRESHOLD)
+        }
+    };
+    Ok(SavedArray { count, placement })
 }
 
 /// Load a database array back into records.
@@ -122,7 +168,7 @@ pub fn load_array<T: FixedRecord>(saved: &SavedArray, store: &PageStore) -> Deco
 
 /// Read `byte_len` bytes of a saved array starting at `byte_off`,
 /// without loading the rest: sliced from the tuple for inline placement,
-/// read via [`PageStore::read_blob_range`] for external placement.
+/// read via [`PageStore::try_read_blob_range`] for external placement.
 pub fn read_array_bytes(
     saved: &SavedArray,
     store: &PageStore,
@@ -130,14 +176,17 @@ pub fn read_array_bytes(
     byte_len: usize,
 ) -> DecodeResult<Vec<u8>> {
     match &saved.placement {
-        Placement::Inline(b) => match b.get(byte_off..byte_off + byte_len) {
-            Some(s) => Ok(s.to_vec()),
-            None => Err(DecodeError::Truncated {
-                what: "inline array range",
-                need: byte_off + byte_len,
-                have: b.len(),
-            }),
-        },
+        Placement::Inline(b) => {
+            let end = byte_off.checked_add(byte_len);
+            match end.and_then(|end| b.get(byte_off..end)) {
+                Some(s) => Ok(s.to_vec()),
+                None => Err(DecodeError::Truncated {
+                    what: "inline array range",
+                    need: end.unwrap_or(usize::MAX),
+                    have: b.len(),
+                }),
+            }
+        }
         Placement::External(id) => store.try_read_blob_range(*id, byte_off, byte_len),
     }
 }

@@ -685,16 +685,19 @@ impl<I: StoreIo> DurableStore<I> {
 
     fn decode_and_apply_delta(&self, g: u64, name: &str) -> DecodeResult<(Arc<Generation>, u64)> {
         let bytes = self.io.read_file(name)?;
-        // Deltas are always decoded strictly: a damaged delta is
-        // discarded, never partially applied.
-        let img = decode_image_strict(&bytes)?;
-        if img.generation != g {
-            return Err(DecodeError::BadStructure {
-                what: "delta file",
-                detail: format!("file {name:?} claims generation {}", img.generation),
-            });
-        }
-        let payload = decode_delta_payload(&img.payload)?;
+        let payload = {
+            let _span = mob_obs::span("durable.decode");
+            // Deltas are always decoded strictly: a damaged delta is
+            // discarded, never partially applied.
+            let img = decode_image_strict(&bytes)?;
+            if img.generation != g {
+                return Err(DecodeError::BadStructure {
+                    what: "delta file",
+                    detail: format!("file {name:?} claims generation {}", img.generation),
+                });
+            }
+            decode_delta_payload(&img.payload)?
+        };
         if payload.base_generation.checked_add(1) != Some(g) {
             return Err(DecodeError::BadStructure {
                 what: "delta file",
@@ -714,6 +717,7 @@ impl<I: StoreIo> DurableStore<I> {
                 })
             }
         };
+        let _span = mob_obs::span("durable.apply");
         Ok((
             Arc::new(base.apply_appends(g, &payload.appends)?),
             bytes.len() as u64,
@@ -807,9 +811,15 @@ impl<I: StoreIo> DurableStore<I> {
         };
         let generation = self.generation + 1;
         // Apply in memory first: a bad batch fails before any I/O.
-        let next = Arc::new(base.apply_appends(generation, appends)?);
-        let payload = encode_delta_payload(self.generation, appends)?;
-        let image = encode_image(generation, self.chunk_size, &payload);
+        let next = {
+            let _span = mob_obs::span("durable.apply");
+            Arc::new(base.apply_appends(generation, appends)?)
+        };
+        let image = {
+            let _span = mob_obs::span("durable.encode");
+            let payload = encode_delta_payload(self.generation, appends)?;
+            encode_image(generation, self.chunk_size, &payload)
+        };
         let name = delta_name(generation);
         if self.io.exists(&name) {
             // Garbage from a previous writer that died before this

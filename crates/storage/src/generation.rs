@@ -9,17 +9,28 @@
 //! compactions that produce *new* generations.
 //!
 //! The write side never mutates a generation. [`Generation::apply_appends`]
-//! builds the successor: it forks the page store (O(1), blob pages are
-//! shared behind `Arc`s — see [`PageStore::fork`]), splices the appended
-//! units onto each touched mapping, and writes only the new unit arrays.
-//! Commit cost is therefore proportional to the delta, not the store.
+//! builds the successor: it forks the page store (O(#blobs) pointer
+//! copies, blob data is shared behind `Arc`s — see [`PageStore::fork`]),
+//! and for each touched mapping re-splices only the last two stored
+//! units with the appended ones. The new unit array shares every full
+//! page of the old one ([`PageStore::extend_blob`]) and writes only its
+//! last page and the appended records. Commit cost is therefore
+//! proportional to the delta, not to the store or to the touched
+//! mappings' history.
+//!
+//! The tail window is sound only for a stored array whose structure is
+//! known good, so each append first opens the stored mapping with
+//! [`Verify::Full`]. That is `O(1)` on a blob carrying the verification
+//! memo ([`PageStore::is_verified`]); an array decoded from disk and
+//! not yet opened or appended to is scanned once, which sets the memo,
+//! and every array an append writes carries the memo from then on.
 //!
 //! Everything here sits on the untrusted-decode path (delta replay runs
 //! it on whatever survived a crash), so all validation returns
 //! [`DecodeError`]s: no indexing, no unwraps, no panicking interval
 //! constructors.
 
-use crate::dbarray::{load_array, save_array, Placement, SavedArray};
+use crate::dbarray::{extend_array, save_array, Placement, SavedArray};
 use crate::index_store::StoredIndex;
 use crate::line_store::{StoredLine, StoredPoints};
 use crate::mapping_store::{
@@ -27,6 +38,7 @@ use crate::mapping_store::{
 };
 use crate::page::PageStore;
 use crate::range_store::StoredPeriods;
+use crate::record::FixedRecord;
 use crate::region_store::StoredRegion;
 use crate::store_file::{RootRecord, StoreFile};
 use crate::view::{self, MappingView, Verify};
@@ -188,9 +200,14 @@ impl Generation {
     /// roots. `appends` holds per-root unit batches in commit order; an
     /// unknown root name creates a new mapping, a known one must be an
     /// mpoint and the batch must continue it (see [`splice_units`] and
-    /// the seam rules below). Cost is proportional to the touched
-    /// mappings, not the store: untouched roots share their pages with
-    /// `self` via [`PageStore::fork`].
+    /// the seam rules below). Cost is proportional to the appended
+    /// units: untouched roots share their blobs with `self` via
+    /// [`PageStore::fork`], and a touched root re-splices only its last
+    /// two stored units and shares the rest of its pages (see the
+    /// module docs). For canonical stored mappings the resulting unit
+    /// arrays are byte-identical to a full load → [`splice_units`] →
+    /// save of each touched mapping; a non-canonical stored prefix (only
+    /// hand-crafted bytes hold one) is kept as it is rather than merged.
     ///
     /// Seam between the stored tail and the first appended unit (the
     /// ingestion anchor makes consecutive batches share a boundary
@@ -212,32 +229,46 @@ impl Generation {
                 continue;
             }
             let slot = entries.iter().position(|(n, _)| n == name);
-            let mut combined: Vec<UPointRecord> =
-                match slot.and_then(|i| entries.get(i)).map(|(_, r)| r) {
-                    Some(RootRecord::MPoint(sm)) => load_array(&sm.units, &self.store)?,
-                    Some(other) => {
-                        return Err(DecodeError::BadStructure {
-                            what: "delta apply",
-                            detail: format!(
-                                "append target {name:?} is a {}, not an mpoint",
-                                other.kind_name()
-                            ),
-                        })
-                    }
-                    None => Vec::new(),
-                };
-            resolve_seam(&mut combined, records, name)?;
-            combined.extend_from_slice(records);
-            let spliced = splice_units(combined)?;
-            let num_units =
-                u32::try_from(spliced.len()).map_err(|_| DecodeError::BadStructure {
+            let base = match slot.and_then(|i| entries.get(i)).map(|(_, r)| r) {
+                Some(RootRecord::MPoint(sm)) => Some(sm),
+                Some(other) => {
+                    return Err(DecodeError::BadStructure {
+                        what: "delta apply",
+                        detail: format!(
+                            "append target {name:?} is a {}, not an mpoint",
+                            other.kind_name()
+                        ),
+                    })
+                }
+                None => None,
+            };
+            let (keep, mut window) = match base {
+                Some(sm) => tail_window(sm, &self.store)?,
+                None => (0, Vec::new()),
+            };
+            resolve_seam(&mut window, records, name)?;
+            window.extend_from_slice(records);
+            mob_obs::metric!("durable.units_respliced").add(window.len() as u64);
+            let spliced = splice_units(window)?;
+            let num_units = keep
+                .checked_add(spliced.len())
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| DecodeError::BadStructure {
                     what: "delta apply",
                     detail: format!("mapping {name:?} exceeds u32 units"),
                 })?;
-            let sm = StoredMapping {
-                num_units,
-                units: save_array(&spliced, &mut store),
+            let units = match base {
+                Some(base) => extend_array(&base.units, keep, &spliced, &mut store)?,
+                None => save_array(&spliced, &mut store),
             };
+            // Every record of the new array passed the checks the
+            // structural scan runs: the kept prefix through the base's
+            // `Full` open, the window and the batch through
+            // `splice_units`.
+            if let Placement::External(id) = units.placement {
+                store.mark_verified(id, UPointRecord::WHAT);
+            }
+            let sm = StoredMapping { num_units, units };
             match slot.and_then(|i| entries.get_mut(i)) {
                 Some(e) => e.1 = RootRecord::MPoint(sm),
                 None => entries.push((name.clone(), RootRecord::MPoint(sm))),
@@ -254,6 +285,28 @@ impl Generation {
             quarantined: self.quarantined.clone(),
         })
     }
+}
+
+/// Stored units an append re-splices: the seam may drop the last one (a
+/// point tail) and the splice may then merge into the one before it, so
+/// nothing earlier can change.
+const TAIL_WINDOW: usize = 2;
+
+/// Split a stored `moving(point)` mapping for an append: the number of
+/// leading unit records kept verbatim, and the last [`TAIL_WINDOW`]
+/// records decoded.
+///
+/// The mapping is opened with [`Verify::Full`] first, so the kept
+/// prefix is structurally checked (once per blob, see
+/// [`view::open_mpoint`]) whatever the memo state, and the window is
+/// read through the view's checked record reads.
+fn tail_window(sm: &StoredMapping, store: &PageStore) -> DecodeResult<(usize, Vec<UPointRecord>)> {
+    let v = view::open_mpoint(sm, store, Verify::Full)?;
+    let keep = sm.units.count.saturating_sub(TAIL_WINDOW);
+    let window = (keep..sm.units.count)
+        .map(|i| v.try_record(i))
+        .collect::<DecodeResult<_>>()?;
+    Ok((keep, window))
 }
 
 /// Seam resolution between a stored mapping tail and the first appended
@@ -348,11 +401,12 @@ pub fn splice_units(units: Vec<UPointRecord>) -> DecodeResult<Vec<UPointRecord>>
 }
 
 /// Copy a saved array into `dst`, preserving its placement (inline
-/// stays inline, external blobs are re-written into `dst`).
+/// stays inline, external blobs are re-written into `dst` with their
+/// verification memo, see [`PageStore::copy_blob_from`]).
 fn rewrite_saved(src: &PageStore, dst: &mut PageStore, a: &SavedArray) -> DecodeResult<SavedArray> {
     let placement = match &a.placement {
         Placement::Inline(b) => Placement::Inline(b.clone()),
-        Placement::External(id) => Placement::External(dst.write_blob(&src.try_read_blob(*id)?)),
+        Placement::External(id) => Placement::External(dst.copy_blob_from(src, *id)?),
     };
     Ok(SavedArray {
         count: a.count,
@@ -433,6 +487,7 @@ fn rewrite_root(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dbarray::load_array;
     use crate::mapping_store::save_mpoint;
     use mob_base::t;
     use mob_core::{Mapping, MovingPoint, TailBuilder, Unit};
@@ -571,6 +626,91 @@ mod tests {
         let g = Generation::from_store_file(1, file, Vec::new());
         let batch = to_records(MovingPoint::from_samples(&[(t(0.0), pt(0.0, 0.0))]).units());
         assert!(g.apply_appends(2, &[("pts".to_string(), batch)]).is_err());
+    }
+
+    #[test]
+    fn verified_appends_rewrite_only_the_last_page() {
+        let samples: Vec<_> = (0..400)
+            .map(|i| (t(f64::from(i)), pt(f64::from(i), f64::from(i % 2) * 3.0)))
+            .collect();
+        let m = MovingPoint::from_samples(&samples);
+        // Decoded from bytes: no memo, so the first append scans the
+        // array once; every append then writes only the last page.
+        let bytes = gen_with_mpoint("car", &m)
+            .to_store_file()
+            .to_bytes()
+            .unwrap();
+        let mut g = Generation::from_store_file(1, StoreFile::from_bytes(&bytes).unwrap(), vec![]);
+        let pages = match g.get("car") {
+            Some(RootRecord::MPoint(sm)) => g.store().blob_pages(match sm.units.placement {
+                Placement::External(id) => id,
+                Placement::Inline(_) => unreachable!("400 units are external"),
+            }),
+            other => panic!("{other:?}"),
+        };
+        assert!(pages >= 4, "{pages}");
+        let mut written = Vec::new();
+        for k in 0..4 {
+            let t0 = 400.0 + 2.0 * f64::from(k);
+            let batch = to_records(
+                MovingPoint::from_samples(&[(t(t0), pt(0.0, 0.0)), (t(t0 + 1.0), pt(1.0, 0.0))])
+                    .units(),
+            );
+            g = g
+                .apply_appends(g.number() + 1, &[("car".to_string(), batch)])
+                .unwrap();
+            written.push(g.store().pages_written());
+        }
+        assert!(written.iter().all(|&w| w <= 2), "{written:?}");
+        let v = g.open_mpoint("car", Verify::Full).unwrap();
+        assert_eq!(mob_core::UnitSeq::len(&v), m.num_units() + 4);
+    }
+
+    /// A non-canonical stored prefix (hand-crafted: two adjacent units
+    /// with equal motion) appends the same way whether or not a reader
+    /// has already verified its blob, so a live writer and delta replay
+    /// (which starts without memos) agree.
+    #[test]
+    fn appends_do_not_depend_on_the_memo_state() {
+        use crate::dbarray::save_array;
+        use mob_base::Interval;
+        use mob_core::PointMotion;
+        let unit = |a: f64, x: f64| UPointRecord {
+            interval: Interval::closed_open(t(a), t(a + 1.0)),
+            motion: PointMotion::stationary(pt(x, 0.0)),
+        };
+        let mut units = vec![unit(0.0, 0.0), unit(1.0, 0.0)];
+        units.extend((2..8).map(|i| unit(f64::from(i), f64::from(i))));
+        let mut file = StoreFile::new();
+        let saved = save_array(&units, file.store_mut());
+        let Placement::External(id) = saved.placement else {
+            panic!("8 units are external");
+        };
+        file.put(
+            "m",
+            RootRecord::MPoint(StoredMapping {
+                num_units: 8,
+                units: saved,
+            }),
+        );
+        let bytes = file.to_bytes().unwrap();
+        let decode =
+            || Generation::from_store_file(1, StoreFile::from_bytes(&bytes).unwrap(), vec![]);
+        let (cold, warm) = (decode(), decode());
+        // The structural scan passes (canonicity is a debug-only check),
+        // so any Full open leaves the memo set.
+        let _ = warm.open_mpoint("m", Verify::Full);
+        assert!(warm.store().is_verified(id, UPointRecord::WHAT));
+        assert!(!cold.store().is_verified(id, UPointRecord::WHAT));
+        let batch = vec![UPointRecord {
+            interval: Interval::closed(t(8.0), t(9.0)),
+            motion: PointMotion::stationary(pt(9.0, 9.0)),
+        }];
+        let append = |g: &Generation| {
+            g.apply_appends(2, &[("m".to_string(), batch.clone())])
+                .map(|next| next.to_store_file().to_bytes().unwrap())
+        };
+        assert_eq!(append(&warm), append(&cold));
     }
 
     #[test]

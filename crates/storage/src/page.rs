@@ -9,7 +9,7 @@
 use crate::checksum::checksum64;
 use mob_base::{DecodeError, DecodeResult};
 use mob_obs::SharedCounter;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default page size (bytes), matching common DBMS pages.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
@@ -55,13 +55,25 @@ impl BlobId {
     }
 }
 
-struct Blob {
-    /// Page images; all but the last are full. Shared via `Arc` so a
-    /// [`PageStore::fork`] is O(#blobs) pointer copies, not a byte copy
-    /// — the mechanism behind cheap immutable generations.
-    pages: Arc<Vec<Vec<u8>>>,
+/// The immutable, shareable part of a blob: its pages and what is known
+/// about its bytes. Held behind an `Arc`, so [`PageStore::fork`] and
+/// [`PageStore::extend_blob`] share it instead of copying bytes.
+struct BlobData {
+    /// Page images, each its own allocation; all but the last are full.
+    /// Page-granular `Arc`s let [`PageStore::extend_blob`] build a longer
+    /// blob that shares every full page of a shorter one.
+    pages: Vec<Arc<[u8]>>,
     /// Exact byte length.
     len: usize,
+    /// The record kind (`FixedRecord::WHAT`) whose structural scan these
+    /// bytes passed, set at most once (see [`PageStore::mark_verified`]).
+    /// The bytes never change, so the verdict holds for the blob's whole
+    /// life, in every store that shares it.
+    verified: OnceLock<&'static str>,
+}
+
+struct Blob {
+    data: Arc<BlobData>,
     /// Set when the blob's backing storage failed an integrity check
     /// (page checksum mismatch in a durable file): reads surface
     /// [`DecodeError::Quarantined`] instead of untrusted bytes.
@@ -69,6 +81,14 @@ struct Blob {
 }
 
 /// A page-based blob store with I/O counters.
+///
+/// A blob is a chain of pages; each page is its own `Arc<[u8]>` inside
+/// the blob's shared data, next to a one-shot verification memo (see
+/// [`PageStore::mark_verified`]). Blobs are immutable once written: a
+/// [`PageStore::fork`] shares every blob, and
+/// [`PageStore::extend_blob`] builds a longer blob that shares the full
+/// pages of a shorter one, so neither mutates a page another store (or
+/// a pinned generation) can see.
 ///
 /// The counters are [`SharedCounter`]s (relaxed atomics mirrored into the
 /// `mob-obs` registry as `store.pages_read` / `store.pages_written`), so a
@@ -125,24 +145,72 @@ impl PageStore {
         self.page_size
     }
 
-    /// Store a blob, counting one page write per page.
-    pub fn write_blob(&mut self, bytes: &[u8]) -> BlobId {
-        let pages: Vec<Vec<u8>> = if bytes.is_empty() {
-            Vec::new()
-        } else {
-            bytes.chunks(self.page_size).map(|c| c.to_vec()).collect()
-        };
-        self.pages_written.add(pages.len() as u64);
+    /// Append a blob built from `pages`, counting `written` page writes.
+    fn push_blob(&mut self, pages: Vec<Arc<[u8]>>, len: usize, written: usize) -> BlobId {
+        self.pages_written.add(written as u64);
         self.blobs.push(Blob {
-            pages: Arc::new(pages),
-            len: bytes.len(),
+            data: Arc::new(BlobData {
+                pages,
+                len,
+                verified: OnceLock::new(),
+            }),
             quarantined: false,
         });
         BlobId(self.blobs.len() - 1)
     }
 
+    /// Store a blob, counting one page write per page.
+    pub fn write_blob(&mut self, bytes: &[u8]) -> BlobId {
+        let pages: Vec<Arc<[u8]>> = bytes.chunks(self.page_size).map(Arc::from).collect();
+        let written = pages.len();
+        self.push_blob(pages, bytes.len(), written)
+    }
+
+    /// Store a new blob holding the first `keep_bytes` bytes of `base`
+    /// followed by `suffix` — the append primitive behind O(delta)
+    /// commits.
+    ///
+    /// Every page of `base` that lies wholly inside the kept prefix is
+    /// shared by `Arc` (no copy, no page write); only the partial page
+    /// the prefix ends in is copied, and the suffix is appended after
+    /// it. The result keeps the page invariant (all pages but the last
+    /// are full), so it is indistinguishable from
+    /// [`PageStore::write_blob`] of the same bytes, and `base` itself is
+    /// left untouched. Counts one page write per page it creates.
+    ///
+    /// A dangling or quarantined `base`, or a `keep_bytes` beyond its
+    /// length, is a [`DecodeError`].
+    pub fn extend_blob(
+        &mut self,
+        base: BlobId,
+        keep_bytes: usize,
+        suffix: &[u8],
+    ) -> DecodeResult<BlobId> {
+        let data = Arc::clone(&self.blob(base)?.data);
+        if keep_bytes > data.len {
+            return Err(DecodeError::OutOfBounds {
+                what: "blob extension",
+                index: keep_bytes,
+                bound: data.len,
+            });
+        }
+        let full = keep_bytes / self.page_size;
+        let mut pages: Vec<Arc<[u8]>> = data.pages.iter().take(full).cloned().collect();
+        let partial = keep_bytes - full * self.page_size;
+        let mut tail: Vec<u8> = Vec::with_capacity(partial + suffix.len());
+        if partial > 0 {
+            let page = data.pages.get(full).and_then(|p| p.get(..partial));
+            tail.extend_from_slice(page.unwrap_or_default());
+        }
+        tail.extend_from_slice(suffix);
+        let before = pages.len();
+        pages.extend(tail.chunks(self.page_size).map(Arc::from));
+        let written = pages.len() - before;
+        Ok(self.push_blob(pages, keep_bytes + suffix.len(), written))
+    }
+
     /// Fork the store: a new `PageStore` sharing every existing blob's
-    /// page data by `Arc` pointer copy (no byte copies, no page-write
+    /// data by `Arc` pointer copy (no byte copies, no page-write
     /// accounting) with fresh I/O counters.
     ///
     /// This is the generational-MVCC snapshot primitive: a writer forks
@@ -150,7 +218,7 @@ impl PageStore {
     /// blobs, and publishes the fork as the next immutable generation
     /// while readers keep using the old one. Blob ids carry over
     /// unchanged, so root records referencing old blobs stay valid in
-    /// the fork; quarantine flags are preserved.
+    /// the fork; quarantine flags and verification memos are preserved.
     pub fn fork(&self) -> PageStore {
         PageStore {
             page_size: self.page_size,
@@ -158,14 +226,49 @@ impl PageStore {
                 .blobs
                 .iter()
                 .map(|b| Blob {
-                    pages: Arc::clone(&b.pages),
-                    len: b.len,
+                    data: Arc::clone(&b.data),
                     quarantined: b.quarantined,
                 })
                 .collect(),
             pages_written: SharedCounter::new(mob_obs::metric!("store.pages_written")),
             pages_read: SharedCounter::new(mob_obs::metric!("store.pages_read")),
         }
+    }
+
+    /// Record that blob `id` passed the structural scan for record kind
+    /// `what` (a `FixedRecord::WHAT`). The memo is set at most once per
+    /// blob; a later call with another kind is ignored, so a blob holds
+    /// at most one verified kind. Dangling ids are ignored.
+    ///
+    /// Only the code that ran (or, for a freshly built blob, provably
+    /// subsumed) the scan may call this: [`PageStore::is_verified`] is
+    /// trusted to skip it.
+    pub fn mark_verified(&self, id: BlobId, what: &'static str) {
+        if let Some(b) = self.blobs.get(id.0) {
+            let _ = b.data.verified.set(what);
+        }
+    }
+
+    /// Whether blob `id` passed the structural scan for record kind
+    /// `what` (see [`PageStore::mark_verified`]). False for dangling ids
+    /// and for every blob of a store decoded from bytes until its first
+    /// verified open.
+    pub fn is_verified(&self, id: BlobId, what: &'static str) -> bool {
+        self.blobs
+            .get(id.0)
+            .and_then(|b| b.data.verified.get())
+            .is_some_and(|v| *v == what)
+    }
+
+    /// Copy blob `id` of `src` into this store byte for byte, carrying
+    /// its verification memo over (the bytes are identical, so the
+    /// verdict still holds). The compaction rewrite.
+    pub fn copy_blob_from(&mut self, src: &PageStore, id: BlobId) -> DecodeResult<BlobId> {
+        let copy = self.write_blob(&src.try_read_blob(id)?);
+        if let Some(what) = src.blob(id)?.data.verified.get() {
+            self.mark_verified(copy, what);
+        }
+        Ok(copy)
     }
 
     /// Quarantine a blob: its backing storage failed an integrity check
@@ -200,14 +303,22 @@ impl PageStore {
         self.blobs.iter().filter(|b| b.quarantined).count()
     }
 
-    fn quarantine_check(&self, id: BlobId) -> DecodeResult<()> {
-        if self.is_quarantined(id) {
-            return Err(DecodeError::Quarantined {
+    /// The blob behind `id`: dangling ids are
+    /// [`DecodeError::OutOfBounds`], quarantined blobs
+    /// [`DecodeError::Quarantined`].
+    fn blob(&self, id: BlobId) -> DecodeResult<&Blob> {
+        match self.blobs.get(id.0) {
+            Some(b) if b.quarantined => Err(DecodeError::Quarantined {
                 what: "blob",
                 detail: format!("blob {} failed its page integrity checks", id.0),
-            });
+            }),
+            Some(b) => Ok(b),
+            None => Err(DecodeError::OutOfBounds {
+                what: "blob id",
+                index: id.0,
+                bound: self.blobs.len(),
+            }),
         }
-        Ok(())
     }
 
     /// Number of blobs currently stored.
@@ -218,115 +329,69 @@ impl PageStore {
     /// Exact byte length of a blob, or a [`DecodeError`] for a dangling
     /// blob id.
     pub fn blob_len(&self, id: BlobId) -> DecodeResult<usize> {
-        self.quarantine_check(id)?;
-        match self.blobs.get(id.0) {
-            Some(b) => Ok(b.len),
-            None => Err(DecodeError::OutOfBounds {
-                what: "blob id",
-                index: id.0,
-                bound: self.blobs.len(),
-            }),
-        }
+        Ok(self.blob(id)?.data.len)
     }
 
-    /// Fallible counterpart of [`PageStore::read_blob`]: dangling blob
-    /// ids (e.g. decoded from corrupt root records) surface as a
-    /// [`DecodeError`] instead of a panic.
+    /// Read a whole blob back, counting one page read per page.
+    /// Dangling blob ids (e.g. decoded from corrupt root records) and
+    /// quarantined blobs surface as [`DecodeError`]s.
     pub fn try_read_blob(&self, id: BlobId) -> DecodeResult<Vec<u8>> {
-        self.quarantine_check(id)?;
-        let blob = match self.blobs.get(id.0) {
-            Some(b) => b,
-            None => {
-                return Err(DecodeError::OutOfBounds {
-                    what: "blob id",
-                    index: id.0,
-                    bound: self.blobs.len(),
-                })
-            }
-        };
-        self.pages_read.add(blob.pages.len() as u64);
-        let mut out = Vec::with_capacity(blob.len);
-        for p in blob.pages.iter() {
-            out.extend_from_slice(p);
-        }
-        Ok(out)
-    }
-
-    /// Fallible counterpart of [`PageStore::read_blob_range`]: dangling
-    /// ids and out-of-range byte ranges surface as [`DecodeError`]s.
-    pub fn try_read_blob_range(
-        &self,
-        id: BlobId,
-        offset: usize,
-        len: usize,
-    ) -> DecodeResult<Vec<u8>> {
-        let blob_len = self.blob_len(id)?;
-        let end = offset.checked_add(len).ok_or(DecodeError::OutOfBounds {
-            what: "blob range",
-            index: usize::MAX,
-            bound: blob_len,
-        })?;
-        if end > blob_len {
-            return Err(DecodeError::OutOfBounds {
-                what: "blob range",
-                index: end,
-                bound: blob_len,
-            });
-        }
-        Ok(self.read_blob_range(id, offset, len))
-    }
-
-    /// Read a blob back, counting one page read per page.
-    ///
-    /// Panics on a dangling id — for trusted in-process ids only; decode
-    /// paths use [`PageStore::try_read_blob`].
-    pub fn read_blob(&self, id: BlobId) -> Vec<u8> {
-        let blob = &self.blobs[id.0];
-        self.pages_read.add(blob.pages.len() as u64);
-        let mut out = Vec::with_capacity(blob.len);
-        for p in blob.pages.iter() {
-            out.extend_from_slice(p);
-        }
-        out
+        let data = &self.blob(id)?.data;
+        Ok(self.copy_range(data, 0, data.len))
     }
 
     /// Read `len` bytes of a blob starting at `offset`, touching (and
     /// counting) **only the pages that overlap the range** — the page-I/O
     /// primitive behind the lazy `MappingView` access path: a binary
     /// search over unit records reads `O(log n)` pages, not the whole
-    /// blob.
-    pub fn read_blob_range(&self, id: BlobId, offset: usize, len: usize) -> Vec<u8> {
-        let blob = &self.blobs[id.0];
-        assert!(
-            offset + len <= blob.len,
-            "read_blob_range: range {offset}..{} out of bounds (blob len {})",
-            offset + len,
-            blob.len
-        );
+    /// blob. Dangling ids, quarantined blobs and out-of-range byte
+    /// ranges surface as [`DecodeError`]s.
+    pub fn try_read_blob_range(
+        &self,
+        id: BlobId,
+        offset: usize,
+        len: usize,
+    ) -> DecodeResult<Vec<u8>> {
+        let data = &self.blob(id)?.data;
+        let end = offset.checked_add(len).ok_or(DecodeError::OutOfBounds {
+            what: "blob range",
+            index: usize::MAX,
+            bound: data.len,
+        })?;
+        if end > data.len {
+            return Err(DecodeError::OutOfBounds {
+                what: "blob range",
+                index: end,
+                bound: data.len,
+            });
+        }
+        Ok(self.copy_range(data, offset, len))
+    }
+
+    /// Copy `data[offset..offset + len]` (the caller checked the range),
+    /// counting one read per page it overlaps.
+    fn copy_range(&self, data: &BlobData, offset: usize, len: usize) -> Vec<u8> {
         if len == 0 {
             return Vec::new();
         }
         let first = offset / self.page_size;
         let last = (offset + len - 1) / self.page_size;
         self.pages_read.add((last - first + 1) as u64);
+        let end = offset + len;
         let mut out = Vec::with_capacity(len);
-        for p in first..=last {
-            let page = &blob.pages[p];
-            let base = p * self.page_size;
-            let s = if p == first { offset - base } else { 0 };
-            let e = if p == last {
-                offset + len - base
-            } else {
-                page.len()
-            };
-            out.extend_from_slice(&page[s..e]);
+        let mut base = first * self.page_size;
+        for page in data.pages.iter().skip(first).take(last - first + 1) {
+            let s = offset.saturating_sub(base);
+            let e = (end - base).min(page.len());
+            out.extend_from_slice(page.get(s..e).unwrap_or_default());
+            base += page.len();
         }
         out
     }
 
-    /// Number of pages a blob occupies.
+    /// Number of pages a blob occupies (0 for a dangling id).
     pub fn blob_pages(&self, id: BlobId) -> usize {
-        self.blobs[id.0].pages.len()
+        self.blobs.get(id.0).map_or(0, |b| b.data.pages.len())
     }
 
     /// Pages written since the last counter reset.
@@ -448,7 +513,7 @@ mod tests {
         let id = store.write_blob(&data);
         assert_eq!(store.blob_pages(id), 3); // 8 + 8 + 4
         assert_eq!(store.pages_written(), 3);
-        assert_eq!(store.read_blob(id), data);
+        assert_eq!(store.try_read_blob(id).unwrap(), data);
         assert_eq!(store.pages_read(), 3);
         store.reset_counters();
         assert_eq!(store.pages_written(), 0);
@@ -462,19 +527,25 @@ mod tests {
         let id = store.write_blob(&data);
         store.reset_counters();
         // Range inside one page.
-        assert_eq!(store.read_blob_range(id, 9, 4), vec![9, 10, 11, 12]);
+        assert_eq!(
+            store.try_read_blob_range(id, 9, 4).unwrap(),
+            vec![9, 10, 11, 12]
+        );
         assert_eq!(store.pages_read(), 1);
         // Range spanning a page boundary.
         store.reset_counters();
-        assert_eq!(store.read_blob_range(id, 6, 4), vec![6, 7, 8, 9]);
+        assert_eq!(
+            store.try_read_blob_range(id, 6, 4).unwrap(),
+            vec![6, 7, 8, 9]
+        );
         assert_eq!(store.pages_read(), 2);
         // Whole blob.
         store.reset_counters();
-        assert_eq!(store.read_blob_range(id, 0, 32), data);
+        assert_eq!(store.try_read_blob_range(id, 0, 32).unwrap(), data);
         assert_eq!(store.pages_read(), 4);
         // Empty range is free.
         store.reset_counters();
-        assert!(store.read_blob_range(id, 16, 0).is_empty());
+        assert!(store.try_read_blob_range(id, 16, 0).unwrap().is_empty());
         assert_eq!(store.pages_read(), 0);
     }
 
@@ -483,7 +554,7 @@ mod tests {
         let mut store = PageStore::new();
         let id = store.write_blob(&[]);
         assert_eq!(store.blob_pages(id), 0);
-        assert!(store.read_blob(id).is_empty());
+        assert!(store.try_read_blob(id).unwrap().is_empty());
     }
 
     #[test]
@@ -509,8 +580,8 @@ mod tests {
         let mut store = small_store(4);
         let a = store.write_blob(&[1, 2, 3, 4, 5]);
         let b = store.write_blob(&[9, 9]);
-        assert_eq!(store.read_blob(a), vec![1, 2, 3, 4, 5]);
-        assert_eq!(store.read_blob(b), vec![9, 9]);
+        assert_eq!(store.try_read_blob(a).unwrap(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(store.try_read_blob(b).unwrap(), vec![9, 9]);
     }
 
     #[test]
@@ -564,7 +635,7 @@ mod tests {
         // and no page writes were counted for the fork.
         assert_eq!(fork.num_blobs(), 2);
         assert_eq!(fork.pages_written(), 0);
-        assert_eq!(fork.read_blob(a), vec![1, 2, 3, 4, 5]);
+        assert_eq!(fork.try_read_blob(a).unwrap(), vec![1, 2, 3, 4, 5]);
         assert!(fork.is_quarantined(bad));
         // New blobs in the fork do not appear in the base.
         let c = fork.write_blob(&[7, 7, 7]);
@@ -574,8 +645,108 @@ mod tests {
         // And the base can keep evolving independently.
         let d = base.write_blob(&[8]);
         assert_eq!(d.index(), 2);
-        assert_eq!(base.read_blob(d), vec![8]);
-        assert_eq!(fork.read_blob(c), vec![7, 7, 7]);
+        assert_eq!(base.try_read_blob(d).unwrap(), vec![8]);
+        assert_eq!(fork.try_read_blob(c).unwrap(), vec![7, 7, 7]);
+    }
+
+    fn pages_of(store: &PageStore, id: BlobId) -> Vec<Arc<[u8]>> {
+        store.blobs[id.0].data.pages.clone()
+    }
+
+    #[test]
+    fn extend_blob_shares_full_pages_and_copies_only_the_tail() {
+        let mut store = small_store(4);
+        let base = store.write_blob(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]); // 4 + 4 + 2
+        let before = pages_of(&store, base);
+        // A pinned generation: a fork taken before the append.
+        let pinned = store.fork();
+        store.reset_counters();
+        let ext = store.extend_blob(base, 6, &[60, 70, 80]).unwrap();
+        assert_eq!(
+            store.try_read_blob(ext).unwrap(),
+            vec![0, 1, 2, 3, 4, 5, 60, 70, 80]
+        );
+        // Page 0 is shared; the partial page 1 and the spill are new.
+        let pages = pages_of(&store, ext);
+        assert!(Arc::ptr_eq(&pages[0], &before[0]));
+        assert_eq!(pages.iter().map(|p| p.len()).collect::<Vec<_>>(), [4, 4, 1]);
+        assert_eq!(store.pages_written(), 2);
+        // The base blob, in both stores, is untouched page for page.
+        for s in [&store, &pinned] {
+            assert_eq!(s.try_read_blob(base).unwrap(), (0..10).collect::<Vec<u8>>());
+            let now = pages_of(s, base);
+            assert!(now.iter().zip(&before).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        assert_eq!(pinned.num_blobs(), 1);
+        // Page-aligned prefix: every kept page is shared, nothing copied.
+        store.reset_counters();
+        let aligned = store.extend_blob(base, 8, &[1]).unwrap();
+        let pages = pages_of(&store, aligned);
+        assert!(Arc::ptr_eq(&pages[1], &before[1]));
+        assert_eq!(store.pages_written(), 1);
+        // Keeping nothing is a plain write; keeping everything is a copy.
+        let fresh = store.extend_blob(base, 0, &[5, 5]).unwrap();
+        assert_eq!(store.try_read_blob(fresh).unwrap(), vec![5, 5]);
+        let whole = store.extend_blob(base, 10, &[]).unwrap();
+        assert_eq!(
+            store.try_read_blob(whole).unwrap(),
+            (0..10).collect::<Vec<u8>>()
+        );
+    }
+
+    #[test]
+    fn extend_blob_rejects_bad_bases() {
+        let mut store = small_store(4);
+        let base = store.write_blob(&[1, 2, 3]);
+        assert!(matches!(
+            store.extend_blob(base, 4, &[]),
+            Err(DecodeError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            store.extend_blob(BlobId::from_index(9), 0, &[1]),
+            Err(DecodeError::OutOfBounds { .. })
+        ));
+        store.mark_quarantined(base).unwrap();
+        assert!(matches!(
+            store.extend_blob(base, 1, &[1]),
+            Err(DecodeError::Quarantined { .. })
+        ));
+        assert_eq!(store.num_blobs(), 1, "failed extensions add no blob");
+    }
+
+    #[test]
+    fn verification_memo_is_per_blob_kind_and_shared_bytes() {
+        let mut store = small_store(4);
+        let a = store.write_blob(&[1, 2, 3, 4, 5]);
+        assert!(
+            !store.is_verified(a, "kind a"),
+            "new blobs start unverified"
+        );
+        store.mark_verified(a, "kind a");
+        assert!(store.is_verified(a, "kind a"));
+        assert!(!store.is_verified(a, "kind b"), "the memo names one kind");
+        store.mark_verified(a, "kind b");
+        assert!(!store.is_verified(a, "kind b"), "the first kind sticks");
+        // Forks share the memo both ways: it lives with the bytes.
+        let fork = store.fork();
+        assert!(fork.is_verified(a, "kind a"));
+        let b = store.write_blob(&[9]);
+        let fork = store.fork();
+        fork.mark_verified(b, "kind a");
+        assert!(store.is_verified(b, "kind a"));
+        // An extension is new bytes: unverified until its writer says so.
+        let ext = store.extend_blob(a, 4, &[6]).unwrap();
+        assert!(!store.is_verified(ext, "kind a"));
+        // A verbatim copy carries the memo; a copy of an unverified blob
+        // does not gain one.
+        let mut dst = small_store(4);
+        let copied = dst.copy_blob_from(&store, a).unwrap();
+        assert!(dst.is_verified(copied, "kind a"));
+        let copied_ext = dst.copy_blob_from(&store, ext).unwrap();
+        assert!(!dst.is_verified(copied_ext, "kind a"));
+        // Dangling ids are never verified, and marking them is a no-op.
+        store.mark_verified(BlobId::from_index(99), "kind a");
+        assert!(!store.is_verified(BlobId::from_index(99), "kind a"));
     }
 
     #[test]

@@ -32,14 +32,16 @@
 //!    out-of-range subarray references ([`UnitRecord::check_structure`])
 //!    and out-of-order/overlapping unit intervals — before handing out a
 //!    view. In debug builds it additionally runs the deep
-//!    [`MappingView::validate`] pass.
+//!    [`MappingView::validate`] pass. The per-record scan runs once per
+//!    units blob: the page store remembers which record kind a blob
+//!    passed for, and later `Full` opens of that blob skip it.
 //! 2. **Access** trusts that verification: the two `expect`s in the
 //!    `UnitSeq` impl are unreachable for any view whose construction
 //!    (and, for value-level damage, [`MappingView::validate`]) passed.
 //!    Audit paths never rely on them — [`MappingView::try_unit`] and
 //!    friends surface [`DecodeError`]s instead.
 
-use crate::dbarray::{read_array_bytes, read_subarray, SavedArray};
+use crate::dbarray::{read_array_bytes, read_subarray, Placement, SavedArray};
 use crate::mapping_store::{
     check_root_count, MCycleRecord, MFaceRecord, MSegRecord, StoredMLine, StoredMPoints,
     StoredMRegion, StoredMapping, UBoolRecord, ULineRecord, UPointRecord, UPointsRecord,
@@ -79,6 +81,12 @@ pub enum Verify {
     /// one-pass `O(n)` structural scan of every unit record (and, in
     /// debug builds, the deep [`MappingView::validate`] pass). Use this
     /// the first time a `(stored, store)` pair is opened.
+    ///
+    /// On an external units blob of a `Shared = ()` kind (`mbool`,
+    /// `mreal`, `mpoint`) that already passed the scan for the same kind
+    /// — in any store that shares the blob, including one it was
+    /// appended from — the scan is skipped and `Full` costs `O(1)`
+    /// (see [`PageStore::mark_verified`]).
     Full,
     /// The `O(1)` layout checks only. Sound **only** when the same
     /// `(stored, store)` pair has already passed a [`Verify::Full`] open
@@ -100,6 +108,12 @@ pub trait UnitRecord: FixedRecord {
     /// The live unit type this record deserializes into.
     type Unit: Unit;
 
+    /// Whether [`UnitRecord::check_structure`] needs nothing but the
+    /// record itself (`Shared = ()`). Only then is a passed structural
+    /// scan a property of the units blob alone, so [`Verify::Full`] may
+    /// memoize it on the blob ([`PageStore::mark_verified`]).
+    const SELF_CONTAINED: bool;
+
     /// Access to the shared arrays the record's subarray references point
     /// into (`()` for fixed-size units without subarrays).
     type Shared<'s>;
@@ -119,6 +133,7 @@ pub trait UnitRecord: FixedRecord {
 }
 
 impl UnitRecord for UBoolRecord {
+    const SELF_CONTAINED: bool = true;
     type Unit = ConstUnit<bool>;
     type Shared<'s> = ();
 
@@ -136,6 +151,7 @@ impl UnitRecord for UBoolRecord {
 }
 
 impl UnitRecord for URealRecord {
+    const SELF_CONTAINED: bool = true;
     type Unit = UReal;
     type Shared<'s> = ();
 
@@ -159,6 +175,7 @@ impl UnitRecord for URealRecord {
 }
 
 impl UnitRecord for UPointRecord {
+    const SELF_CONTAINED: bool = true;
     type Unit = UPoint;
     type Shared<'s> = ();
 
@@ -182,6 +199,7 @@ pub struct PointsShared<'s> {
 }
 
 impl UnitRecord for UPointsRecord {
+    const SELF_CONTAINED: bool = false;
     type Unit = UPoints;
     type Shared<'s> = PointsShared<'s>;
 
@@ -206,6 +224,7 @@ pub struct LineShared<'s> {
 }
 
 impl UnitRecord for ULineRecord {
+    const SELF_CONTAINED: bool = false;
     type Unit = ULine;
     type Shared<'s> = LineShared<'s>;
 
@@ -237,6 +256,7 @@ pub struct RegionShared<'s> {
 }
 
 impl UnitRecord for URegionRecord {
+    const SELF_CONTAINED: bool = false;
     type Unit = URegion;
     type Shared<'s> = RegionShared<'s>;
 
@@ -323,13 +343,28 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
     /// Construct and verify: layout checks plus a one-pass structural
     /// verification of every unit record (and, in debug builds, the deep
     /// [`MappingView::validate`] pass).
+    ///
+    /// The structural pass runs once per external units blob and record
+    /// kind: for a [self-contained](UnitRecord::SELF_CONTAINED) kind a
+    /// passed scan is memoized on the blob, and a blob that carries the
+    /// memo for `R` skips it. Inline arrays are at most
+    /// [`crate::dbarray::INLINE_THRESHOLD`] bytes and are always scanned.
     fn open(
         store: &'s PageStore,
         units: &'s SavedArray,
         shared: R::Shared<'s>,
     ) -> DecodeResult<Self> {
         let view = Self::open_unchecked(store, units, shared)?;
-        view.verify_structure()?;
+        let memo = match units.placement {
+            Placement::External(id) if R::SELF_CONTAINED => Some(id),
+            _ => None,
+        };
+        if !memo.is_some_and(|id| store.is_verified(id, R::WHAT)) {
+            view.verify_structure()?;
+            if let Some(id) = memo {
+                store.mark_verified(id, R::WHAT);
+            }
+        }
         #[cfg(debug_assertions)]
         view.validate()?;
         view.reset_counters();
@@ -937,6 +972,150 @@ mod tests {
         let mut bad = save_mpoint(&m, &mut store);
         bad.num_units += 1;
         assert!(open_mpoint(&bad, &store, Verify::Preverified).is_err());
+    }
+
+    fn external_id(stored: &StoredMapping) -> crate::page::BlobId {
+        match stored.units.placement {
+            crate::dbarray::Placement::External(id) => id,
+            crate::dbarray::Placement::Inline(_) => panic!("expected external units"),
+        }
+    }
+
+    #[test]
+    fn full_open_memoizes_the_scan_on_the_blob() {
+        let m = long_mpoint(2048);
+        let mut store = PageStore::new();
+        let stored = save_mpoint(&m, &mut store);
+        let id = external_id(&stored);
+        assert!(!store.is_verified(id, UPointRecord::WHAT));
+        open_mpoint(&stored, &store, Verify::Full).unwrap();
+        assert!(store.is_verified(id, UPointRecord::WHAT));
+        // The second Full open skips the per-record scan; only the debug
+        // build's deep validate pass still reads the data pages.
+        store.reset_counters();
+        let view = open_mpoint(&stored, &store, Verify::Full).unwrap();
+        if !cfg!(debug_assertions) {
+            assert_eq!(store.pages_read(), 0, "memoized Full open reads no pages");
+        }
+        assert_eq!(view.at_instant(t(512.25)), m.at_instant(t(512.25)));
+        // Inline arrays are always scanned; there is no blob to hold
+        // a memo.
+        let short = long_mpoint(2);
+        let inline = save_mpoint(&short, &mut store);
+        assert!(inline.units.is_inline());
+        open_mpoint(&inline, &store, Verify::Full).unwrap();
+    }
+
+    #[test]
+    fn a_decoded_store_starts_unverified_and_rescans() {
+        use crate::store_file::{RootRecord, StoreFile};
+        let m = long_mpoint(300);
+        let mut file = StoreFile::new();
+        let stored = save_mpoint(&m, file.store_mut());
+        open_mpoint(&stored, file.store(), Verify::Full).unwrap();
+        assert!(file
+            .store()
+            .is_verified(external_id(&stored), UPointRecord::WHAT));
+        file.put("trip", RootRecord::MPoint(stored.clone()));
+        let mut bytes = file.to_bytes().unwrap();
+        let clean = StoreFile::from_bytes(&bytes).unwrap();
+        assert!(!clean
+            .store()
+            .is_verified(external_id(&stored), UPointRecord::WHAT));
+        // Swap the first two records' start instants in the serialized
+        // blob (page size, blob count, blob length = 16 header bytes):
+        // the bytes still decode, but the unit order is broken, and a
+        // decoded store must catch that with a full scan.
+        let first = 8 + 4 + 4 + 4;
+        let second = first + UPointRecord::SIZE;
+        for k in 0..8 {
+            bytes.swap(first + k, second + k);
+        }
+        let damaged = StoreFile::from_bytes(&bytes).unwrap();
+        let Some(RootRecord::MPoint(trip)) = damaged.get("trip") else {
+            panic!("trip survives decoding");
+        };
+        assert!(open_mpoint(trip, damaged.store(), Verify::Full).is_err());
+        assert!(!damaged
+            .store()
+            .is_verified(external_id(trip), UPointRecord::WHAT));
+    }
+
+    #[test]
+    fn a_blob_verified_as_one_kind_is_rescanned_as_another() {
+        // 19 upoint records = 950 bytes = 50 ubool records.
+        let units: Vec<UPointRecord> = (0..19)
+            .map(|i| UPointRecord {
+                interval: Interval::closed_open(t(f64::from(i)), t(f64::from(i) + 1.0)),
+                motion: PointMotion::stationary(pt(f64::from(i), 0.0)),
+            })
+            .collect();
+        let mut store = PageStore::new();
+        let stored = StoredMapping {
+            num_units: 19,
+            units: crate::dbarray::save_array(&units, &mut store),
+        };
+        open_mpoint(&stored, &store, Verify::Full).unwrap();
+        let as_bool = StoredMapping {
+            num_units: 50,
+            units: crate::dbarray::SavedArray {
+                count: 50,
+                placement: stored.units.placement.clone(),
+            },
+        };
+        // The upoint memo does not vouch for ubool records: the scan
+        // runs and rejects the bytes.
+        assert!(open_mbool(&as_bool, &store, Verify::Full).is_err());
+        assert!(!store.is_verified(external_id(&as_bool), UBoolRecord::WHAT));
+    }
+
+    #[test]
+    fn layout_and_quarantine_checks_still_run_on_a_verified_blob() {
+        let m = long_mpoint(64);
+        let mut store = PageStore::new();
+        let stored = save_mpoint(&m, &mut store);
+        open_mpoint(&stored, &store, Verify::Full).unwrap();
+        // A root whose count disagrees with the verified blob.
+        let mut bad = stored.clone();
+        bad.num_units += 1;
+        bad.units.count += 1;
+        assert!(matches!(
+            open_mpoint(&bad, &store, Verify::Full),
+            Err(DecodeError::CountMismatch { .. })
+        ));
+        let mut bad = stored.clone();
+        bad.num_units -= 1;
+        assert!(matches!(
+            open_mpoint(&bad, &store, Verify::Full),
+            Err(DecodeError::CountMismatch { .. })
+        ));
+        // A quarantined blob is refused whatever its memo says.
+        store.mark_quarantined(external_id(&stored)).unwrap();
+        assert!(matches!(
+            open_mpoint(&stored, &store, Verify::Full),
+            Err(DecodeError::Quarantined { .. })
+        ));
+    }
+
+    #[test]
+    fn kinds_with_shared_arrays_are_never_memoized() {
+        let u = |a: f64| {
+            URegion::interpolate(
+                Interval::closed(t(2.0 * a), t(2.0 * a + 1.0)),
+                &rect_ring(a, 0.0, a + 1.0, 1.0),
+                &rect_ring(a + 1.0, 0.0, a + 2.0, 1.0),
+            )
+            .unwrap()
+        };
+        let units: Vec<URegion> = (0..8).map(|i| u(f64::from(i))).collect();
+        let m: MovingRegion = Mapping::try_new(units).unwrap();
+        let mut store = PageStore::new();
+        let stored = save_mregion(&m, &mut store);
+        let crate::dbarray::Placement::External(id) = stored.units.placement else {
+            panic!("expected external units");
+        };
+        open_mregion(&stored, &store, Verify::Full).unwrap();
+        assert!(!store.is_verified(id, URegionRecord::WHAT));
     }
 
     #[test]
