@@ -22,7 +22,9 @@
 //! n(n-1)/8` on a 128-plane fleet, answer equal to the nested loop) and
 //! the E11 commit bound (one delta commit of `n` objects writes at most
 //! `2n` pages and re-splices the same number of stored units after 32
-//! and after 512 ticks of history).
+//! and after 512 ticks of history) and the one-image maintenance cycle
+//! (one supervised compaction with an index step commits exactly one
+//! full image, whose index a reopen attaches with no stale tuples).
 
 use mob_base::t;
 use mob_bench::*;
@@ -1007,7 +1009,96 @@ fn explain_mode() {
         );
     }
 
-    println!("\nall registry-derived counts satisfy the Section-5, planner, Q2 and E11 bounds.");
+    maintenance_cycle();
+
+    println!(
+        "\nall registry-derived counts satisfy the Section-5, planner, Q2, E11 and maintenance bounds."
+    );
+}
+
+/// `--explain` row for DESIGN.md §14: one supervised maintenance cycle
+/// with `index_rebuilder` on `MemIo` commits one full image — the
+/// compacted data and its fresh index together — and a reopen attaches
+/// that index over every tuple, pruning `passes` to the full answer.
+fn maintenance_cycle() {
+    use mob_rel::{index_rebuilder, IndexPolicy, OpenRelOpts};
+    use mob_storage::supervisor::{MaintTick, Supervisor, SupervisorConfig};
+    use std::sync::{Arc, Mutex};
+
+    const INDEX_ROOT: &str = "fleet/index";
+    let (n, history) = (64usize, 16usize);
+    println!("\nMAINT  one supervised cycle over {n} objects after {history} delta commits:");
+    println!("       durable.commits = durable.compactions = maint.rebuilds = 1; the reopened");
+    println!("       index covers every tuple, none stale, and pruned passes = IndexPolicy::Off");
+    let (store, _) = e11_store(n, history);
+    let store = Arc::new(Mutex::new(store));
+    let sup = Supervisor::new(
+        Arc::clone(&store),
+        SupervisorConfig::default(),
+        Arc::new(mob_storage::VirtualClock::new()),
+    )
+    .with_rebuilder(index_rebuilder(OpenRelOpts::new(), INDEX_ROOT.to_string()));
+    let (tick, report) = mob_obs::explain("maint.run_once", || sup.run_once());
+    print!("{report}");
+    let commits = report.metrics().get("durable.commits");
+    let compactions = report.metrics().get("durable.compactions");
+    let rebuilds = report.metrics().get("maint.rebuilds");
+    let indexed = matches!(tick, MaintTick::Compacted { indexed: true, .. });
+
+    let snap = store
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .snapshot()
+        .expect("pin the compacted generation");
+    let rel = Relation::open(&snap, &OpenRelOpts::new().index(INDEX_ROOT)).expect("reopen");
+    let covered = rel.index_tree().map(mob_core::RTree::num_tuples);
+    let stale = snap.stale().len();
+    let zone = Region::from_ring(mob_spatial::rect_ring(-0.5, -100.0, 1.5, 100.0));
+    let window = mob_base::Interval::closed(t(0.0), t(1.0));
+    let (reference, _) = rel
+        .passes(
+            "trip",
+            &zone,
+            &window,
+            &ScanOpts::new().index(IndexPolicy::Off),
+        )
+        .expect("full scan");
+    let (pruned, stats) = rel
+        .passes(
+            "trip",
+            &zone,
+            &window,
+            &ScanOpts::new().index(IndexPolicy::Force).stats(true),
+        )
+        .expect("pruned scan");
+    let stats = stats.expect("stats requested");
+    let candidates = stats.candidates.unwrap_or(rel.len());
+    let identical = pruned == reference;
+    let ok = indexed
+        && (commits, compactions, rebuilds) == (1, 1, 1)
+        && covered == Some(rel.len())
+        && stale == 0
+        && stats.index_fallbacks == 0
+        && candidates < rel.len()
+        && !reference.is_empty()
+        && identical;
+    println!(
+        "  generation={}  commits={commits}  compactions={compactions}  rebuilds={rebuilds}  \
+         covered={covered:?}/{}  stale={stale}  candidates={candidates}  answer={}  \
+         identical={identical}  ok={ok}",
+        snap.number(),
+        rel.len(),
+        reference.len()
+    );
+    assert!(
+        ok,
+        "maintenance cycle: expected one indexed image (commits={commits}, \
+         compactions={compactions}, rebuilds={rebuilds}, indexed={indexed}) whose index \
+         covers all {} tuples with none stale (covered={covered:?}, stale={stale}) and prunes \
+         (candidates={candidates}, fallbacks={}) to the full answer (identical={identical})",
+        rel.len(),
+        stats.index_fallbacks
+    );
 }
 
 fn main() {

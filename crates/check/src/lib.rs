@@ -991,7 +991,7 @@ mod tests {
         let dir = MemIo::new();
         let mut store = DurableStore::options().open(dir.clone()).unwrap();
         let mut txn = store.begin();
-        txn.put_payload(b"base payload");
+        txn.put_store_file(&mob_storage::StoreFile::new()).unwrap();
         txn.commit().unwrap();
 
         // A gap: delta for generation 3 with no generation-2 link.

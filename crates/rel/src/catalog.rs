@@ -475,8 +475,8 @@ pub fn tuple_layout(t: &StoredTuple, store: &PageStore) -> TupleLayout {
 /// `index_root` (a tag-11 [`RootRecord::Index`] entry).
 ///
 /// Returns `Ok(None)` when the generation holds no `moving(point)`
-/// roots — there is nothing to index, so the caller (typically the
-/// maintenance supervisor) skips the commit.
+/// roots — there is nothing to index, so the caller (typically a
+/// supervised compaction) commits the data without an index.
 ///
 /// # Errors
 ///
@@ -515,10 +515,10 @@ pub fn rebuild_index_root(
 }
 
 /// Package [`rebuild_index_root`] as a maintenance-supervisor
-/// [`Rebuilder`]: the closure the supervisor runs (under its retry
-/// policy) after every compaction, closing the stale-index degradation
-/// window — scans over the next generation prune through a tree that
-/// covers every appended unit again.
+/// [`Rebuilder`]: the index step the supervisor passes to every
+/// compaction (under its retry policy), so the compacted snapshot is
+/// committed with a tree that covers every appended unit and closes the
+/// stale-index degradation window.
 ///
 /// [`Rebuilder`]: mob_storage::Rebuilder
 pub fn index_rebuilder(opts: OpenRelOpts, index_root: String) -> mob_storage::Rebuilder {

@@ -46,8 +46,14 @@ pub fn delta_name(generation: u64) -> String {
 /// Parse a `delta-<gen>.mob` name back to its generation.
 #[must_use]
 pub fn parse_delta_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("delta-")?.strip_suffix(".mob")?;
-    if hex.len() != 16 {
+    parse_generation_name(name, "delta-")
+}
+
+/// Parse `<prefix><16 hex digits>.mob` back to its generation (`None`
+/// for anything else: no sign, no short or long forms).
+pub(crate) fn parse_generation_name(name: &str, prefix: &str) -> Option<u64> {
+    let hex = name.strip_prefix(prefix)?.strip_suffix(".mob")?;
+    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
@@ -213,6 +219,11 @@ mod tests {
         assert_eq!(parse_delta_name("delta-xyz.mob"), None);
         assert_eq!(parse_delta_name("snap-0000000000000007.mob"), None);
         assert_eq!(parse_delta_name("delta-07.mob"), None);
+        assert_eq!(parse_delta_name("delta-+000000000000001.mob"), None);
+        assert_eq!(
+            parse_delta_name("delta-ffffffffffffffff.mob"),
+            Some(u64::MAX)
+        );
     }
 
     #[test]

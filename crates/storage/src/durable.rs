@@ -17,7 +17,8 @@
 //! the first torn, forged, or out-of-sequence delta ends the chain (it
 //! and everything after it are removed and counted in
 //! `durable.recoveries`). [`DurableStore::compact`] folds the chain back
-//! into a fresh full snapshot.
+//! into a fresh full snapshot; [`DurableStore::compact_with`] lets a hook
+//! add an index root to that same snapshot before it is written.
 //!
 //! # Commit protocols
 //!
@@ -26,8 +27,8 @@
 //! **Full image** (shadow write → fsync → atomic rename):
 //!
 //! ```text
-//!   txn.put_store_file(f) / txn.put_payload(b); txn.commit():
-//!     1. encode payload into a checksummed image  (pure, in memory)
+//!   txn.put_store_file(f); txn.commit():
+//!     1. encode the file into a checksummed image (pure, in memory)
 //!     2. write_file("tmp-<g>")                    ── crash here: old state
 //!     3. sync("tmp-<g>")                          ── crash here: old state
 //!     4. rename("tmp-<g>", "snap-<g>") + dir sync ── crash here: old OR new
@@ -83,7 +84,9 @@
 //! while healthy data keeps serving. Delta files are always decoded
 //! strictly: a damaged delta is discarded, not partially applied.
 
-use crate::delta::{decode_delta_payload, delta_name, encode_delta_payload, parse_delta_name};
+use crate::delta::{
+    decode_delta_payload, delta_name, encode_delta_payload, parse_delta_name, parse_generation_name,
+};
 use crate::generation::Generation;
 use crate::io::StoreIo;
 use crate::mapping_store::UPointRecord;
@@ -123,11 +126,7 @@ fn tmp_name(generation: u64) -> String {
 /// anything that is not exactly a snapshot name).
 #[must_use]
 pub fn parse_snapshot_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("snap-")?.strip_suffix(".mob")?;
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    parse_generation_name(name, "snap-")
 }
 
 /// A decoded snapshot image, possibly with damaged (zero-filled) chunk
@@ -316,20 +315,6 @@ pub fn decode_image_degraded(bytes: &[u8]) -> DecodeResult<DecodedImage> {
     decode_image(bytes, true)
 }
 
-/// What the store currently holds (the committed state the last open or
-/// commit produced).
-enum StoreState {
-    /// No committed generation (a fresh directory).
-    Empty,
-    /// A committed payload that is not a [`StoreFile`] image (arbitrary
-    /// bytes committed through [`Txn::put_payload`]). Delta commits and
-    /// snapshots are unavailable.
-    Raw(Vec<u8>),
-    /// A committed [`Generation`] (store-file payload, possibly with
-    /// replayed deltas on top).
-    Gen(Arc<Generation>),
-}
-
 /// Builder for opening a [`DurableStore`] — its one open/create entry
 /// point:
 ///
@@ -396,10 +381,9 @@ impl StoreOptions {
     /// recoveries or [`DecodeError`]s, never as panics.
     pub fn open<I: StoreIo>(self, io: I) -> DecodeResult<DurableStore<I>> {
         let (mut store, img) = DurableStore::open_inner(io, self.chunk_size, self.degraded)?;
-        store.state = match img {
-            None => StoreState::Empty,
-            Some(img) => DurableStore::<I>::state_from_image(img, self.degraded)?,
-        };
+        if let Some(img) = img {
+            store.current = Arc::new(generation_from_image(img, self.degraded)?);
+        }
         store.replay_deltas()?;
         Ok(store)
     }
@@ -413,7 +397,9 @@ pub struct DurableStore<I: StoreIo> {
     io: I,
     chunk_size: usize,
     generation: u64,
-    state: StoreState,
+    /// The committed state the last open or commit produced (an empty
+    /// generation 0 in a fresh directory).
+    current: Arc<Generation>,
     /// Delta commits applied (or replayed) on top of the newest full
     /// snapshot — the maintenance supervisor's compaction trigger.
     deltas_since_snapshot: u64,
@@ -421,43 +407,29 @@ pub struct DurableStore<I: StoreIo> {
     delta_bytes_since_snapshot: u64,
 }
 
-/// Staged content of a full-image commit.
-enum Staged {
-    /// Arbitrary payload bytes.
-    Payload(Vec<u8>),
-    /// A serialized [`StoreFile`] plus an owned copy that becomes the
-    /// new current [`Generation`].
-    File(Vec<u8>, StoreFile),
-}
-
 /// An explicit transaction handle: the single commit entry point for
 /// both full-image and delta commits (see [`DurableStore::begin`]).
 ///
-/// Stage either a full image ([`Txn::put_store_file`] /
-/// [`Txn::put_payload`]) or appended units ([`Txn::append_units`]), then
-/// [`Txn::commit`]. Mixing both in one transaction is an error, as is
+/// Stage either a full image ([`Txn::put_store_file`]) or appended
+/// units ([`Txn::append_units`]), then [`Txn::commit`]. Mixing both in one transaction is an error, as is
 /// committing an empty transaction. Dropping the handle without
 /// committing abandons the staged work (no I/O has happened).
 pub struct Txn<'a, I: StoreIo> {
     store: &'a mut DurableStore<I>,
-    image: Option<Staged>,
+    /// A staged full image: the serialized [`StoreFile`] plus an owned
+    /// copy that becomes the new current [`Generation`].
+    image: Option<(Vec<u8>, StoreFile)>,
     appends: Vec<(String, Vec<UPointRecord>)>,
 }
 
 impl<I: StoreIo> Txn<'_, I> {
-    /// Stage arbitrary payload bytes as a full-image commit (replacing
-    /// any previously staged image).
-    pub fn put_payload(&mut self, payload: &[u8]) {
-        self.image = Some(Staged::Payload(payload.to_vec()));
-    }
-
     /// Stage a [`StoreFile`] as a full-image commit (replacing any
     /// previously staged image). The file is serialized now — encoding
     /// errors surface here, before any I/O.
     pub fn put_store_file(&mut self, file: &StoreFile) -> DecodeResult<()> {
         let bytes = file.to_bytes()?;
         let copy = StoreFile::from_parts(file.store().fork(), file.entries().to_vec());
-        self.image = Some(Staged::File(bytes, copy));
+        self.image = Some((bytes, copy));
         Ok(())
     }
 
@@ -497,10 +469,26 @@ impl<I: StoreIo> Txn<'_, I> {
                 what: "durable transaction",
                 detail: "empty transaction (stage an image or appends before commit)".into(),
             }),
-            (Some(staged), true) => self.store.commit_full(staged),
+            (Some((bytes, file)), true) => self.store.commit_full(&bytes, file),
             (None, false) => self.store.commit_delta(&self.appends),
         }
     }
+}
+
+/// Freeze a recovered image as a [`Generation`], quarantining the blobs
+/// that damaged chunks touch in degraded mode. A payload that is not a
+/// store file is a [`DecodeError`].
+fn generation_from_image(img: DecodedImage, degraded: bool) -> DecodeResult<Generation> {
+    let (file, quarantined) = if degraded {
+        StoreFile::from_bytes_with_damage(&img.payload, &img.damaged)?
+    } else {
+        (StoreFile::from_bytes(&img.payload)?, Vec::new())
+    };
+    Ok(Generation::from_store_file(
+        img.generation,
+        file,
+        quarantined,
+    ))
 }
 
 impl DurableStore<crate::io::MemIo> {
@@ -517,8 +505,8 @@ impl DurableStore<crate::io::MemIo> {
 
 impl<I: StoreIo> DurableStore<I> {
     /// Recovery scan: newest valid snapshot wins, torn snapshots and
-    /// stale shadow files are removed. Returns the store (state
-    /// [`StoreState::Empty`], to be set by the caller) and the decoded
+    /// stale shadow files are removed. Returns the store (holding an
+    /// empty generation, to be replaced by the caller) and the decoded
     /// image, if any.
     fn open_inner(
         io: I,
@@ -573,7 +561,7 @@ impl<I: StoreIo> DurableStore<I> {
             let dead = if name.starts_with("tmp-") {
                 true
             } else if let Some(g) = parse_snapshot_name(name) {
-                g + 1 < base
+                g < base.saturating_sub(1)
             } else if let Some(g) = parse_delta_name(name) {
                 g <= base
             } else {
@@ -589,47 +577,12 @@ impl<I: StoreIo> DurableStore<I> {
                 io,
                 chunk_size,
                 generation,
-                state: StoreState::Empty,
+                current: Arc::new(Generation::empty(generation)),
                 deltas_since_snapshot: 0,
                 delta_bytes_since_snapshot: 0,
             },
             found,
         ))
-    }
-
-    /// Classify a recovered image: a [`StoreFile`] payload becomes a
-    /// [`Generation`] (with damaged blobs quarantined in degraded mode),
-    /// anything else is raw bytes.
-    fn state_from_image(img: DecodedImage, degraded: bool) -> DecodeResult<StoreState> {
-        if !img.payload.starts_with(crate::store_file::MAGIC) {
-            // Degraded recovery zero-fills damaged chunks; if the damage
-            // covers the payload magic we cannot tell a raw payload from
-            // a store file whose identity got shot off — refuse loudly
-            // rather than misclassify.
-            if img.damaged.iter().any(|&(from, _)| from < 8) {
-                return Err(DecodeError::BadStructure {
-                    what: "durable payload",
-                    detail: "payload magic bytes are damaged".to_string(),
-                });
-            }
-            return Ok(StoreState::Raw(img.payload));
-        }
-        if degraded {
-            let (file, quarantined) =
-                StoreFile::from_bytes_with_damage(&img.payload, &img.damaged)?;
-            Ok(StoreState::Gen(Arc::new(Generation::from_store_file(
-                img.generation,
-                file,
-                quarantined,
-            ))))
-        } else {
-            let file = StoreFile::from_bytes(&img.payload)?;
-            Ok(StoreState::Gen(Arc::new(Generation::from_store_file(
-                img.generation,
-                file,
-                Vec::new(),
-            ))))
-        }
     }
 
     /// Replay the contiguous delta chain above the current generation
@@ -672,7 +625,7 @@ impl<I: StoreIo> DurableStore<I> {
     fn replay_one_delta(&mut self, g: u64, name: &str) -> bool {
         match self.decode_and_apply_delta(g, name) {
             Ok((next, bytes)) => {
-                self.state = StoreState::Gen(next);
+                self.current = next;
                 self.generation = g;
                 self.deltas_since_snapshot += 1;
                 self.delta_bytes_since_snapshot += bytes;
@@ -707,16 +660,7 @@ impl<I: StoreIo> DurableStore<I> {
                 ),
             });
         }
-        let base: Arc<Generation> = match &self.state {
-            StoreState::Empty => Arc::new(Generation::empty(self.generation)),
-            StoreState::Gen(gen) => Arc::clone(gen),
-            StoreState::Raw(_) => {
-                return Err(DecodeError::BadStructure {
-                    what: "delta file",
-                    detail: "cannot apply a delta over a raw (non store-file) payload".into(),
-                })
-            }
-        };
+        let base = Arc::clone(&self.current);
         let _span = mob_obs::span("durable.apply");
         Ok((
             Arc::new(base.apply_appends(g, &payload.appends)?),
@@ -733,33 +677,30 @@ impl<I: StoreIo> DurableStore<I> {
         }
     }
 
-    /// Full-image commit: shadow write → fsync → atomic rename, then
-    /// prune snapshots older than the previous generation and every
-    /// delta the new snapshot supersedes.
-    fn commit_full(&mut self, staged: Staged) -> DecodeResult<u64> {
-        let generation = self.generation + 1;
-        let (payload, state) = match staged {
-            Staged::Payload(bytes) => {
-                let state = StoreState::Raw(bytes.clone());
-                (bytes, state)
-            }
-            Staged::File(bytes, file) => {
-                let state = StoreState::Gen(Arc::new(Generation::from_store_file(
-                    generation,
-                    file,
-                    Vec::new(),
-                )));
-                (bytes, state)
-            }
-        };
-        let image = encode_image(generation, self.chunk_size, &payload);
+    /// The generation the next commit produces.
+    fn next_generation(&self) -> DecodeResult<u64> {
+        self.generation
+            .checked_add(1)
+            .ok_or_else(|| DecodeError::BadStructure {
+                what: "durable transaction",
+                detail: "generation numbers are exhausted".into(),
+            })
+    }
+
+    /// Full-image commit of `file`, serialized as `payload`: shadow
+    /// write → fsync → atomic rename, then prune snapshots older than
+    /// the previous generation and every delta the new snapshot
+    /// supersedes.
+    fn commit_full(&mut self, payload: &[u8], file: StoreFile) -> DecodeResult<u64> {
+        let generation = self.next_generation()?;
+        let image = encode_image(generation, self.chunk_size, payload);
         let tmp = tmp_name(generation);
         let fin = snapshot_name(generation);
         self.io.write_file(&tmp, &image)?;
         self.io.sync(&tmp)?;
         self.io.rename(&tmp, &fin)?;
         self.generation = generation;
-        self.state = state;
+        self.current = Arc::new(Generation::from_store_file(generation, file, Vec::new()));
         self.deltas_since_snapshot = 0;
         self.delta_bytes_since_snapshot = 0;
         mob_obs::metric!("durable.commits").add(1);
@@ -781,7 +722,7 @@ impl<I: StoreIo> DurableStore<I> {
         };
         for name in names {
             let dead = match (parse_snapshot_name(&name), parse_delta_name(&name)) {
-                (Some(g), _) => g + 1 < generation,
+                (Some(g), _) => g < generation - 1,
                 (_, Some(g)) => g <= generation,
                 _ => false,
             };
@@ -799,17 +740,8 @@ impl<I: StoreIo> DurableStore<I> {
     /// in memory, then append + fsync one `delta-<g>.mob` file. I/O cost
     /// is proportional to the appended units, not the store.
     fn commit_delta(&mut self, appends: &[(String, Vec<UPointRecord>)]) -> DecodeResult<u64> {
-        let base: Arc<Generation> = match &self.state {
-            StoreState::Empty => Arc::new(Generation::empty(self.generation)),
-            StoreState::Gen(gen) => Arc::clone(gen),
-            StoreState::Raw(_) => {
-                return Err(DecodeError::BadStructure {
-                    what: "durable transaction",
-                    detail: "cannot append to a raw (non store-file) payload".into(),
-                })
-            }
-        };
-        let generation = self.generation + 1;
+        let base = Arc::clone(&self.current);
+        let generation = self.next_generation()?;
         // Apply in memory first: a bad batch fails before any I/O.
         let next = {
             let _span = mob_obs::span("durable.apply");
@@ -829,7 +761,7 @@ impl<I: StoreIo> DurableStore<I> {
         self.io.append_file(&name, &image)?;
         self.io.sync(&name)?;
         self.generation = generation;
-        self.state = StoreState::Gen(next);
+        self.current = next;
         self.deltas_since_snapshot += 1;
         self.delta_bytes_since_snapshot += image.len() as u64;
         mob_obs::metric!("durable.commits").add(1);
@@ -843,27 +775,37 @@ impl<I: StoreIo> DurableStore<I> {
     /// commit it through the full-image protocol. Superseded blobs and
     /// delta files are dropped; the new generation has no stale roots.
     ///
-    /// Requires a current generation ([`StoreState::Gen`]); an empty or
-    /// raw-payload store has nothing to compact.
+    /// Requires a committed generation: an empty store has nothing to
+    /// compact.
     pub fn compact(&mut self) -> DecodeResult<u64> {
-        let gen_obj = match &self.state {
-            StoreState::Gen(g) => Arc::clone(g),
-            StoreState::Empty => {
-                return Err(DecodeError::BadStructure {
-                    what: "durable compact",
-                    detail: "no committed generation to compact".into(),
-                })
-            }
-            StoreState::Raw(_) => {
-                return Err(DecodeError::BadStructure {
-                    what: "durable compact",
-                    detail: "raw payload stores cannot be compacted".into(),
-                })
-            }
+        self.compact_with(|_| Ok(None))
+    }
+
+    /// [`DurableStore::compact`] with an index step: `index` sees the
+    /// compacted generation, frozen in memory under the number it will
+    /// be committed as, and may return the same data plus more roots
+    /// (typically a fresh index built over it), which is then committed
+    /// in its place. `Ok(None)` commits the compacted data as it is.
+    /// Either way one full image is written; an error from `index`
+    /// ends the compaction before any I/O.
+    pub fn compact_with(
+        &mut self,
+        index: impl FnOnce(&Generation) -> DecodeResult<Option<StoreFile>>,
+    ) -> DecodeResult<u64> {
+        if self.generation == 0 {
+            return Err(DecodeError::BadStructure {
+                what: "durable compact",
+                detail: "no committed generation to compact".into(),
+            });
+        }
+        let generation = self.next_generation()?;
+        let compacted =
+            Generation::from_store_file(generation, self.current.rebuild_store_file()?, Vec::new());
+        let file = match index(&compacted)? {
+            Some(indexed) => indexed,
+            None => compacted.to_store_file(),
         };
-        let file = gen_obj.rebuild_store_file()?;
-        let bytes = file.to_bytes()?;
-        let committed = self.commit_full(Staged::File(bytes, file))?;
+        let committed = self.commit_full(&file.to_bytes()?, file)?;
         mob_obs::metric!("durable.compactions").add(1);
         Ok(committed)
     }
@@ -871,29 +813,9 @@ impl<I: StoreIo> DurableStore<I> {
     /// Pin the current committed generation for reading. The returned
     /// [`Generation`] is immutable: it keeps serving byte-identical
     /// results while later commits and compactions advance the store.
-    ///
-    /// An empty store pins an empty generation; a raw-payload store
-    /// (bytes committed through [`Txn::put_payload`]) has no generation
-    /// to pin and errors.
+    /// An empty store pins an empty generation.
     pub fn snapshot(&self) -> DecodeResult<Arc<Generation>> {
-        match &self.state {
-            StoreState::Empty => Ok(Arc::new(Generation::empty(self.generation))),
-            StoreState::Gen(g) => Ok(Arc::clone(g)),
-            StoreState::Raw(_) => Err(DecodeError::BadStructure {
-                what: "durable snapshot",
-                detail: "store holds a raw payload, not a store-file generation".into(),
-            }),
-        }
-    }
-
-    /// The committed payload bytes when the store holds raw (non
-    /// store-file) bytes; `None` for empty stores and generations.
-    #[must_use]
-    pub fn raw_payload(&self) -> Option<&[u8]> {
-        match &self.state {
-            StoreState::Raw(b) => Some(b),
-            _ => None,
-        }
+        Ok(Arc::clone(&self.current))
     }
 
     /// The last committed generation (0 if none).
@@ -948,6 +870,27 @@ mod tests {
             .unwrap()
     }
 
+    /// A store file holding one short `moving(point)` root named `name`.
+    fn tagged(name: &str) -> StoreFile {
+        let mut file = StoreFile::new();
+        let m = MovingPoint::from_samples(&[(t(0.0), pt(0.0, 0.0)), (t(1.0), pt(1.0, 1.0))]);
+        let stored = crate::mapping_store::save_mpoint(&m, file.store_mut());
+        file.put(name, RootRecord::MPoint(stored));
+        file
+    }
+
+    fn commit_file(store: &mut DurableStore<MemIo>, file: &StoreFile) -> DecodeResult<u64> {
+        let mut txn = store.begin();
+        txn.put_store_file(file)?;
+        txn.commit()
+    }
+
+    /// The root names of the store's current generation.
+    fn roots(store: &DurableStore<MemIo>) -> Vec<String> {
+        let snap = store.snapshot().unwrap();
+        snap.entries().iter().map(|(n, _)| n.clone()).collect()
+    }
+
     #[test]
     fn snapshot_names_roundtrip_and_reject_noise() {
         assert_eq!(parse_snapshot_name(&snapshot_name(0)), Some(0));
@@ -963,6 +906,7 @@ mod tests {
             "snap-.mob",
             "snap-123.mob",
             "snap-00000000000000zz.mob",
+            "snap-+000000000000001.mob",
             "tmp-0000000000000001.mob",
             "snap-0000000000000001.tmp",
             "delta-0000000000000001.mob",
@@ -1029,10 +973,11 @@ mod tests {
         let dir = MemIo::new();
         let mut store = open_mem(&dir);
         assert_eq!(store.generation(), 0);
-        for (i, payload) in [&b"alpha"[..], b"beta", b"gamma"].iter().enumerate() {
-            let mut txn = store.begin();
-            txn.put_payload(payload);
-            assert_eq!(txn.commit().unwrap(), i as u64 + 1);
+        for (i, name) in ["alpha", "beta", "gamma"].into_iter().enumerate() {
+            assert_eq!(
+                commit_file(&mut store, &tagged(name)).unwrap(),
+                i as u64 + 1
+            );
         }
         // Prune keeps exactly the current and previous generation.
         let names = dir.list().unwrap();
@@ -1043,10 +988,14 @@ mod tests {
         );
         let reopened = open_mem(&dir);
         assert_eq!(reopened.generation(), 3);
-        assert_eq!(reopened.raw_payload(), Some(&b"gamma"[..]));
-        assert!(
-            reopened.snapshot().is_err(),
-            "raw payloads pin no generation"
+        assert_eq!(
+            reopened
+                .snapshot()
+                .unwrap()
+                .to_store_file()
+                .to_bytes()
+                .unwrap(),
+            tagged("gamma").to_bytes().unwrap()
         );
     }
 
@@ -1054,7 +1003,6 @@ mod tests {
     fn open_fresh_directory_yields_empty_generation() {
         let store = DurableStore::options().open(MemIo::new()).unwrap();
         assert_eq!(store.generation(), 0);
-        assert!(store.raw_payload().is_none());
         let snap = store.snapshot().unwrap();
         assert_eq!(snap.number(), 0);
         assert!(snap.entries().is_empty());
@@ -1064,18 +1012,16 @@ mod tests {
     fn open_skips_a_torn_newest_snapshot() {
         let dir = MemIo::new();
         let mut store = open_mem(&dir);
-        let mut txn = store.begin();
-        txn.put_payload(b"good old state");
-        txn.commit().unwrap();
+        commit_file(&mut store, &tagged("old")).unwrap();
         // Forge a torn generation-2 snapshot: valid name, damaged bytes.
-        let mut image = encode_image(2, 32, b"half-written new state");
+        let mut image = encode_image(2, 32, &tagged("new").to_bytes().unwrap());
         let mid = image.len() / 2;
         image.truncate(mid);
         dir.write_file(&snapshot_name(2), &image).unwrap();
         // And a stale shadow file.
         dir.write_file(&tmp_name(3), b"junk").unwrap();
         let reopened = open_mem(&dir);
-        assert_eq!(reopened.raw_payload(), Some(&b"good old state"[..]));
+        assert_eq!(roots(&reopened), ["old"]);
         assert_eq!(reopened.generation(), 1);
         // The torn snapshot and the shadow file were cleaned up.
         assert_eq!(dir.list().unwrap(), vec![snapshot_name(1)]);
@@ -1086,11 +1032,53 @@ mod tests {
         let dir = MemIo::new();
         // A fully valid generation-1 image filed under the name of
         // generation 5: the mismatch must not be trusted.
-        let image = encode_image(1, 32, b"impostor");
+        let image = encode_image(1, 32, &tagged("impostor").to_bytes().unwrap());
         dir.write_file(&snapshot_name(5), &image).unwrap();
         let store = open_mem(&dir);
         assert_eq!(store.generation(), 0);
-        assert!(store.raw_payload().is_none());
+        assert!(roots(&store).is_empty());
+    }
+
+    #[test]
+    fn open_refuses_a_frame_valid_image_that_is_not_a_store_file() {
+        let dir = MemIo::new();
+        let image = encode_image(1, 32, b"arbitrary bytes, not a store file");
+        dir.write_file(&snapshot_name(1), &image).unwrap();
+        for degraded in [false, true] {
+            let opened = DurableStore::options()
+                .chunk_size(32)
+                .degraded(degraded)
+                .open(dir.clone());
+            assert!(
+                matches!(opened, Err(DecodeError::BadStructure { .. })),
+                "degraded={degraded}: a non-store-file payload must be a DecodeError"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_generation_names_neither_panic_nor_overflow() {
+        // Junk under the largest snapshot name: skipped, removed, and
+        // the prune sweep must not compute `u64::MAX + 1`.
+        let dir = MemIo::new();
+        dir.write_file(&snapshot_name(u64::MAX), b"junk").unwrap();
+        let store = open_mem(&dir);
+        assert_eq!(store.generation(), 0);
+        assert!(dir.list().unwrap().is_empty(), "junk file removed");
+
+        // A valid image at the last generation number opens, but no
+        // commit can follow it: the next number does not exist.
+        let image = encode_image(u64::MAX, 32, &tagged("last").to_bytes().unwrap());
+        dir.write_file(&snapshot_name(u64::MAX), &image).unwrap();
+        let mut store = open_mem(&dir);
+        assert_eq!(store.generation(), u64::MAX);
+        assert!(commit_file(&mut store, &tagged("next")).is_err());
+        let mut txn = store.begin();
+        txn.append_units("last", &units_for(&[(1.0, 1.0), (2.0, 2.0)]));
+        assert!(txn.commit().is_err());
+        assert!(store.compact().is_err());
+        assert_eq!(store.generation(), u64::MAX);
+        assert_eq!(dir.list().unwrap(), vec![snapshot_name(u64::MAX)]);
     }
 
     #[test]
@@ -1262,17 +1250,11 @@ mod tests {
         let mut store = DurableStore::options().open(MemIo::new()).unwrap();
         assert!(store.begin().commit().is_err(), "empty transaction");
         let mut txn = store.begin();
-        txn.put_payload(b"image");
+        txn.put_store_file(&tagged("image")).unwrap();
         txn.append_units("car", &units_for(&[(0.0, 0.0), (1.0, 1.0)]));
         assert!(txn.commit().is_err(), "mixed transaction");
-        // Appending to a raw-payload store is rejected.
-        let mut txn = store.begin();
-        txn.put_payload(b"raw");
-        txn.commit().unwrap();
-        let mut txn = store.begin();
-        txn.append_units("car", &units_for(&[(0.0, 0.0), (1.0, 1.0)]));
-        assert!(txn.commit().is_err());
-        // As is compacting it.
+        // An empty store has nothing to compact.
         assert!(store.compact().is_err());
+        assert_eq!(store.generation(), 0);
     }
 }

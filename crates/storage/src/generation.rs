@@ -186,8 +186,9 @@ impl Generation {
             // longer covers every unit, and the compacted snapshot
             // starts with an empty stale list — carrying the old index
             // over would let later opens attach it as fully trusted and
-            // silently prune appended data. Drop it; the maintenance
-            // rebuild step re-derives a fresh one.
+            // silently prune appended data. Drop it; the index step of
+            // `DurableStore::compact_with` builds a fresh one into the
+            // same snapshot.
             if matches!(root, RootRecord::Index(_)) && !self.stale.is_empty() {
                 continue;
             }

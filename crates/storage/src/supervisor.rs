@@ -1,15 +1,17 @@
-//! Fault-tolerant background maintenance: supervised compaction and
-//! post-compaction index rebuild with retry/backoff.
+//! Fault-tolerant background maintenance: supervised compaction, with
+//! the index rebuilt into the compacted snapshot, under retry/backoff.
 //!
-//! PR 9 left the store's two maintenance duties — folding the WAL delta
-//! chain ([`DurableStore::compact`]) and refreshing the stale stored
-//! index — as blocking manual calls that abort on the first I/O error.
-//! This module turns them into a supervised loop:
+//! The store's two maintenance duties — folding the WAL delta chain and
+//! refreshing the stale stored index — are one step here: a cycle
+//! compacts through [`DurableStore::compact_with`], whose hook builds
+//! the fresh index over the compacted generation, and commits one full
+//! image that holds both. This module runs that step as a supervised
+//! loop:
 //!
 //! * a [`Supervisor`] watches the committed chain through
 //!   [`DurableStore::pending_deltas`] / `pending_delta_bytes` and fires
 //!   maintenance when either crosses its [`SupervisorConfig`] threshold;
-//! * every maintenance step runs through a [`RetryPolicy`]: failures
+//! * every maintenance cycle runs through a [`RetryPolicy`]: failures
 //!   are classified ([`classify`]) as *transient* (retry after a
 //!   bounded, seeded-jitter exponential backoff) or *permanent*
 //!   (give up immediately — e.g. [`STORAGE_FULL_MARKER`] errors);
@@ -22,14 +24,15 @@
 //!   as it was (the shadow-write discipline of [`crate::durable`]),
 //!   and pinned [`Generation`] snapshots are immutable throughout.
 //!
-//! The index rebuild step is pluggable ([`Rebuilder`]): `mob-storage`
-//! cannot see the relation layer, so `mob-rel` supplies a closure that
-//! re-derives the stored R-tree from a pinned snapshot; the supervisor
-//! commits the result only if no writer advanced the chain in between
-//! (otherwise the next cycle rebuilds against the newer state).
+//! The index step is pluggable ([`Rebuilder`]): `mob-storage` cannot see
+//! the relation layer, so `mob-rel` supplies a closure that derives the
+//! stored R-tree from the compacted generation. It runs under the store
+//! lock, like the rewrite, encode and fsync of the commit, so no writer
+//! can advance the chain between the compaction and its index, and a
+//! failing rebuild commits nothing.
 
 use crate::clock::Clock;
-use crate::durable::{DurableStore, Txn};
+use crate::durable::DurableStore;
 use crate::generation::Generation;
 use crate::io::{StoreIo, STORAGE_FULL_MARKER};
 use crate::store_file::StoreFile;
@@ -188,11 +191,11 @@ pub enum RetryOutcome<T> {
 // Supervisor
 // ---------------------------------------------------------------------
 
-/// Pluggable post-compaction index rebuild: given the pinned snapshot
-/// the supervisor just compacted to, return a full [`StoreFile`] with a
-/// fresh index attached (or `None` when there is nothing to rebuild).
-/// Supplied by `mob-rel` (`rebuild_index_root`), which can see the
-/// relation schema this crate cannot.
+/// Pluggable index step of a compaction: given the compacted generation
+/// (in memory, not yet committed), return the same data as a full
+/// [`StoreFile`] with a fresh index attached, or `None` when there is
+/// nothing to index. Supplied by `mob-rel` (`rebuild_index_root`), which
+/// can see the relation schema this crate cannot.
 pub type Rebuilder = Arc<dyn Fn(&Generation) -> DecodeResult<Option<StoreFile>> + Send + Sync>;
 
 /// When the supervisor acts.
@@ -202,7 +205,7 @@ pub struct SupervisorConfig {
     pub delta_threshold: u64,
     /// … or once the pending chain reaches this many encoded bytes.
     pub delta_bytes_threshold: u64,
-    /// Retry discipline for every maintenance step.
+    /// Retry discipline for every maintenance cycle.
     pub policy: RetryPolicy,
     /// Background-thread cadence between idle checks.
     pub poll_interval: Duration,
@@ -228,9 +231,9 @@ pub struct MaintStatus {
     pub manual: bool,
     /// Successful supervised compactions.
     pub compactions: u64,
-    /// Successful supervised index-rebuild commits.
+    /// Successful supervised compactions that carried a fresh index.
     pub rebuilds: u64,
-    /// Failed-then-retried attempts across all steps.
+    /// Failed-then-retried attempts.
     pub retries: u64,
     /// Give-up events (transitions to manual mode).
     pub gave_up: u64,
@@ -243,13 +246,13 @@ pub struct MaintStatus {
 pub enum MaintTick {
     /// Below thresholds, or in manual mode: nothing attempted.
     Idle,
-    /// Compaction (and possibly an index rebuild) committed.
+    /// Compaction committed, as one full image.
     Compacted {
         /// Generation the compaction committed.
         generation: u64,
-        /// Generation of the index-rebuild commit, when one landed.
-        rebuilt: Option<u64>,
-        /// Failed-then-retried attempts spent across both steps.
+        /// Whether that image carries a freshly rebuilt index.
+        indexed: bool,
+        /// Failed-then-retried attempts spent on it.
         retries: u32,
     },
     /// Retries exhausted (or a permanent fault): now in manual mode.
@@ -292,7 +295,7 @@ impl<I: StoreIo> Supervisor<I> {
         }
     }
 
-    /// Attach a post-compaction index rebuild step (see [`Rebuilder`]).
+    /// Attach an index step to every compaction (see [`Rebuilder`]).
     #[must_use]
     pub fn with_rebuilder(mut self, rebuilder: Rebuilder) -> Supervisor<I> {
         self.rebuilder = Some(rebuilder);
@@ -338,8 +341,8 @@ impl<I: StoreIo> Supervisor<I> {
             || store.pending_delta_bytes() >= self.config.delta_bytes_threshold
     }
 
-    /// One synchronous maintenance tick: check thresholds, then run
-    /// compaction (and the index rebuild, when configured) through the
+    /// One synchronous maintenance tick: check thresholds, then run one
+    /// compaction (with the index step, when configured) through the
     /// retry policy. Deterministic under a [`crate::clock::VirtualClock`] —
     /// this is the engine the background thread loops over, exposed so
     /// tests can single-step it.
@@ -347,13 +350,21 @@ impl<I: StoreIo> Supervisor<I> {
         if self.with_status(|s| s.manual) || !self.due() {
             return MaintTick::Idle;
         }
-        // Step 1: compact the delta chain (commit-or-nothing per
-        // attempt; the lock is released between attempts).
-        let compacted = self.config.policy.run(self.clock.as_ref(), || {
+        // Commit-or-nothing per attempt; the lock is released between
+        // attempts.
+        let mut indexed = false;
+        let outcome = self.config.policy.run(self.clock.as_ref(), || {
             let mut store = self.lock_store();
-            store.compact()
+            match &self.rebuilder {
+                Some(rebuilder) => store.compact_with(|compacted| {
+                    let file = rebuilder(compacted)?;
+                    indexed = file.is_some();
+                    Ok(file)
+                }),
+                None => store.compact(),
+            }
         });
-        let (generation, mut retries) = match compacted {
+        let (generation, retries) = match outcome {
             RetryOutcome::Ok { value, retries } => (value, retries),
             RetryOutcome::GaveUp {
                 error, attempts, ..
@@ -361,60 +372,18 @@ impl<I: StoreIo> Supervisor<I> {
         };
         self.with_status(|s| {
             s.compactions += 1;
+            s.rebuilds += u64::from(indexed);
             s.retries += u64::from(retries);
         });
         mob_obs::metric!("maint.compactions").add(1);
-
-        // Step 2: rebuild the index against the compacted snapshot.
-        let mut rebuilt = None;
-        if let Some(rebuilder) = &self.rebuilder {
-            let outcome = self.config.policy.run(self.clock.as_ref(), || {
-                self.rebuild_once(rebuilder, generation)
-            });
-            match outcome {
-                RetryOutcome::Ok { value, retries: r } => {
-                    retries += r;
-                    self.with_status(|s| s.retries += u64::from(r));
-                    if let Some(g) = value {
-                        rebuilt = Some(g);
-                        self.with_status(|s| s.rebuilds += 1);
-                        mob_obs::metric!("maint.rebuilds").add(1);
-                    }
-                }
-                RetryOutcome::GaveUp {
-                    error, attempts, ..
-                } => return self.give_up(&error, attempts),
-            }
+        if indexed {
+            mob_obs::metric!("maint.rebuilds").add(1);
         }
         MaintTick::Compacted {
             generation,
-            rebuilt,
+            indexed,
             retries,
         }
-    }
-
-    /// One index-rebuild attempt: pin the snapshot, derive the fresh
-    /// file outside the lock, and commit it only if no writer advanced
-    /// the chain in between — otherwise skip (`Ok(None)`); the next
-    /// cycle rebuilds against the newer state.
-    fn rebuild_once(&self, rebuilder: &Rebuilder, base: u64) -> DecodeResult<Option<u64>> {
-        let snap = {
-            let store = self.lock_store();
-            if store.generation() != base {
-                return Ok(None);
-            }
-            store.snapshot()?
-        };
-        let Some(file) = rebuilder(&snap)? else {
-            return Ok(None);
-        };
-        let mut store = self.lock_store();
-        if store.generation() != base {
-            return Ok(None);
-        }
-        let mut txn: Txn<'_, I> = store.begin();
-        txn.put_store_file(&file)?;
-        txn.commit().map(Some)
     }
 
     fn give_up(&self, error: &DecodeError, attempts: u32) -> MaintTick {
@@ -642,11 +611,11 @@ mod tests {
         match sup.run_once() {
             MaintTick::Compacted {
                 generation,
-                rebuilt,
+                indexed,
                 retries,
             } => {
                 assert_eq!(generation, 4);
-                assert_eq!(rebuilt, None);
+                assert!(!indexed);
                 assert_eq!(retries, 0);
             }
             other => panic!("expected compaction, got {other:?}"),
@@ -654,6 +623,161 @@ mod tests {
         assert_eq!(sup.run_once(), MaintTick::Idle, "counters reset");
         let st = sup.status();
         assert_eq!((st.compactions, st.gave_up, st.manual), (1, 0, false));
+    }
+
+    /// A [`MemIo`] that counts the whole files written: every full-image
+    /// commit writes its shadow file once, a delta commit appends.
+    #[derive(Clone, Default)]
+    struct CountingIo {
+        disk: MemIo,
+        writes: Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingIo {
+        fn writes(&self) -> u64 {
+            self.writes.load(Ordering::SeqCst)
+        }
+    }
+
+    impl StoreIo for CountingIo {
+        fn read_file(&self, name: &str) -> DecodeResult<Vec<u8>> {
+            self.disk.read_file(name)
+        }
+        fn write_file(&self, name: &str, bytes: &[u8]) -> DecodeResult<()> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            self.disk.write_file(name, bytes)
+        }
+        fn append_file(&self, name: &str, bytes: &[u8]) -> DecodeResult<()> {
+            self.disk.append_file(name, bytes)
+        }
+        fn sync(&self, name: &str) -> DecodeResult<()> {
+            self.disk.sync(name)
+        }
+        fn rename(&self, from: &str, to: &str) -> DecodeResult<()> {
+            self.disk.rename(from, to)
+        }
+        fn remove(&self, name: &str) -> DecodeResult<()> {
+            self.disk.remove(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.disk.exists(name)
+        }
+        fn list(&self) -> DecodeResult<Vec<String>> {
+            self.disk.list()
+        }
+    }
+
+    const TEST_INDEX: &str = "test/index";
+
+    /// A rebuilder that adds an (empty) index root to the compacted
+    /// generation and records the generation number it was shown.
+    fn test_rebuilder(seen: Arc<Mutex<Vec<u64>>>) -> Rebuilder {
+        Arc::new(move |g: &Generation| {
+            if let Ok(mut seen) = seen.lock() {
+                seen.push(g.number());
+            }
+            let mut file = g.to_store_file();
+            let stored = crate::index_store::save_index(
+                &mob_core::RTree::bulk(g.entries().len(), Vec::new()),
+                file.store_mut(),
+            );
+            file.put(TEST_INDEX, crate::store_file::RootRecord::Index(stored));
+            Ok(Some(file))
+        })
+    }
+
+    fn counting_store_with_deltas(
+        io: &CountingIo,
+        ticks: u64,
+    ) -> Arc<Mutex<DurableStore<CountingIo>>> {
+        let mut store = DurableStore::options().open(io.clone()).expect("open");
+        for k in 0..ticks {
+            let t0 = k as f64 * 2.0;
+            let samples = vec![(t(t0), pt(t0, 0.0)), (t(t0 + 1.0), pt(t0 + 1.0, 1.0))];
+            let units = MovingPoint::from_samples(&samples).units().to_vec();
+            let mut txn = store.begin();
+            txn.append_units(&format!("obj{k}"), &units);
+            txn.commit().expect("delta commit");
+        }
+        Arc::new(Mutex::new(store))
+    }
+
+    fn config(delta_threshold: u64) -> SupervisorConfig {
+        SupervisorConfig {
+            delta_threshold,
+            delta_bytes_threshold: u64::MAX,
+            policy: policy(5),
+            poll_interval: Duration::from_millis(1),
+        }
+    }
+
+    #[test]
+    fn one_cycle_with_a_rebuilder_commits_one_indexed_image() {
+        let io = CountingIo::default();
+        let store = counting_store_with_deltas(&io, 3);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sup = Supervisor::new(Arc::clone(&store), config(3), Arc::new(VirtualClock::new()))
+            .with_rebuilder(test_rebuilder(Arc::clone(&seen)));
+        let writes = io.writes();
+        match sup.run_once() {
+            MaintTick::Compacted {
+                generation,
+                indexed,
+                retries,
+            } => assert_eq!((generation, indexed, retries), (4, true, 0)),
+            other => panic!("expected an indexed compaction, got {other:?}"),
+        }
+        // Every commit takes the next generation number: 3 → 4 is one
+        // commit, and it wrote one full image.
+        assert_eq!(io.writes() - writes, 1, "one full image per cycle");
+        assert_eq!(io.list().unwrap(), vec![crate::durable::snapshot_name(4)]);
+        assert_eq!(*seen.lock().unwrap(), vec![4], "the index saw gen 4");
+        let st = sup.status();
+        assert_eq!((st.compactions, st.rebuilds, st.retries), (1, 1, 0));
+        // The committed generation carries the index, in memory and on
+        // disk, and nothing in it is stale.
+        let live = store.lock().unwrap().snapshot().unwrap();
+        assert_eq!(live.number(), 4);
+        assert!(live.stale().is_empty());
+        assert!(matches!(
+            live.get(TEST_INDEX),
+            Some(crate::store_file::RootRecord::Index(_))
+        ));
+        let reopened = DurableStore::options().open(io.clone()).unwrap();
+        let reopened = reopened.snapshot().unwrap();
+        assert_eq!(reopened.number(), 4);
+        assert_eq!(
+            reopened.to_store_file().to_bytes().unwrap(),
+            live.to_store_file().to_bytes().unwrap()
+        );
+    }
+
+    #[test]
+    fn a_failing_rebuilder_commits_nothing() {
+        let io = CountingIo::default();
+        let store = counting_store_with_deltas(&io, 3);
+        let refuse: Rebuilder = Arc::new(|_: &Generation| {
+            Err(DecodeError::BadStructure {
+                what: "test index",
+                detail: "refused".into(),
+            })
+        });
+        let sup = Supervisor::new(Arc::clone(&store), config(3), Arc::new(VirtualClock::new()))
+            .with_rebuilder(refuse);
+        let listing = io.list().unwrap();
+        let writes = io.writes();
+        match sup.run_once() {
+            MaintTick::GaveUp { error, attempts } => {
+                assert!(error.contains("refused"), "{error}");
+                assert_eq!(attempts, 1, "structural errors are permanent");
+            }
+            other => panic!("expected a give-up, got {other:?}"),
+        }
+        assert_eq!(store.lock().unwrap().generation(), 3);
+        assert_eq!(io.list().unwrap(), listing);
+        assert_eq!(io.writes(), writes, "no image was written");
+        let st = sup.status();
+        assert_eq!((st.compactions, st.rebuilds, st.manual), (0, 0, true));
     }
 
     #[test]

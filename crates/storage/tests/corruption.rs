@@ -427,7 +427,8 @@ fn durable_bit_flips_are_caught_by_checksums_not_the_decoder() {
         .open(dir.clone())
         .expect("open");
     let mut txn = store.begin();
-    txn.put_payload(&payload);
+    let file = StoreFile::from_bytes(&payload).expect("combined file decodes");
+    txn.put_store_file(&file).expect("stage");
     txn.commit().expect("commit");
     let snap_name = dir
         .list()
@@ -495,7 +496,7 @@ fn absurd_sizes_in_headers_are_rejected() {
         .open(dir.clone())
         .expect("open");
     let mut txn = store.begin();
-    txn.put_payload(b"some payload bytes");
+    txn.put_store_file(&StoreFile::new()).expect("stage");
     txn.commit().expect("commit");
     let snap_name = dir
         .list()

@@ -46,10 +46,11 @@ fn options() -> StoreOptions {
     DurableStore::options().chunk_size(CHUNK)
 }
 
-/// Commit `payload` as the next full-image generation.
+/// Commit the serialized store file `payload` as the next full-image
+/// generation (its image holds exactly these bytes).
 fn commit<I: StoreIo>(store: &mut DurableStore<I>, payload: &[u8]) -> DecodeResult<u64> {
     let mut txn = store.begin();
-    txn.put_payload(payload);
+    txn.put_store_file(&StoreFile::from_bytes(payload)?)?;
     txn.commit()
 }
 

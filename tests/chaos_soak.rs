@@ -251,13 +251,13 @@ fn soak_iteration(iter: u64, campaign_seed: u64, totals: &mut Totals) {
         match sup.run_once() {
             MaintTick::Idle => {}
             MaintTick::Compacted {
-                retries, rebuilt, ..
+                retries, indexed, ..
             } => {
                 totals.compactions += 1;
                 if retries > 0 {
                     totals.retried_ticks += 1;
                 }
-                if rebuilt.is_some() {
+                if indexed {
                     totals.rebuilds += 1;
                 }
             }
